@@ -80,8 +80,8 @@ func TestBenchmarkJSONMatchesProgram(t *testing.T) {
 	}
 }
 
-// TestEveryWorkloadRunsClean runs one traced cycle and the ladder of each
-// workload at a one-second budget: every output check and regime guard
+// TestEveryWorkloadRunsClean runs one traced cycle with one open-loop
+// phase and the ladder of each workload at a one-second budget: every output check and regime guard
 // must pass with no failed operation, and every layer the workload runs
 // through must report.
 func TestEveryWorkloadRunsClean(t *testing.T) {
@@ -100,7 +100,7 @@ func TestEveryWorkloadRunsClean(t *testing.T) {
 	}
 	for _, sp := range specs {
 		t.Run(sp.name, func(t *testing.T) {
-			res, err := bench(sp, 3, time.Second, true)
+			res, err := bench(sp, 3, time.Second, true, 1)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -26,7 +26,11 @@ import (
 //   - from y_g = 1/k_g, k_g the most constraints any member of g is in,
 //     which spreads the weight over constraints that overlap.
 //
-// The larger of the two is returned.
+// The larger of the two is returned. On the benchmark's inputs for seeds
+// 1–5 the spread fill is the larger on three workloads: cover-repeats
+// about 2000 sets against 200–400 (and much the steadier from seed to
+// seed), routed-mix 7490 against 1230–1590, paths-weighted about 1.15×.
+// The packing fill keeps the bound exact on single-edge workloads.
 func packedBound(groups [][]int, need []int, cost func(member int) float64) float64 {
 	members := 0
 	for _, ms := range groups {
@@ -112,4 +116,24 @@ func coverBound(ins *setcover.Instance, arrivals []int) float64 {
 		need[j]++
 	}
 	return packedBound(ins.SetsOf(), need, ins.Cost)
+}
+
+// rejectAllCost is what an engine that rejects every request would pay:
+// the objective_ratio it reached, against the same bound, is how far the
+// metric can move on an admission workload.
+func rejectAllCost(ins *problem.Instance) float64 {
+	var total float64
+	for _, r := range ins.Requests {
+		total += r.Cost
+	}
+	return total
+}
+
+// buyAllCost is what a cover engine that bought every set would pay.
+func buyAllCost(ins *setcover.Instance) float64 {
+	var total float64
+	for s := range ins.Sets {
+		total += ins.Cost(s)
+	}
+	return total
 }

@@ -90,8 +90,23 @@ func TestCoverBoundNeverExceedsExactOPT(t *testing.T) {
 		if !res.Proven {
 			t.Fatalf("seed %d: exact search did not finish", seed)
 		}
-		if lb := coverBound(ins, arrivals); lb > res.Value+1e-9 {
+		lb := coverBound(ins, arrivals)
+		if lb > res.Value+1e-9 {
 			t.Errorf("seed %d: bound %v exceeds OPT %v", seed, lb, res.Value)
+		}
+		// The best single element: its k_j cheapest distinct sets.
+		var mx float64
+		for j := 0; j < ins.N; j++ {
+			var own []int
+			for _, a := range arrivals {
+				if a == j {
+					own = append(own, a)
+				}
+			}
+			mx = max(mx, coverBound(ins, own))
+		}
+		if lb < mx-1e-9 {
+			t.Errorf("seed %d: bound %v below the best single-element bound %v", seed, lb, mx)
 		}
 	}
 }

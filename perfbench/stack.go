@@ -23,8 +23,9 @@ type system interface {
 	// closed runs the whole sequence as a closed loop, tracing it when
 	// rec is not nil.
 	closed(ctx context.Context, rec *recorder) loopResult
-	// open offers the whole sequence at rate items per second.
-	open(ctx context.Context, rate float64) loopResult
+	// open offers the whole sequence at rate items per second, chunk
+	// items per submission.
+	open(ctx context.Context, rate float64, chunk int) loopResult
 	// scrape reads the front server's /metrics.
 	scrape(ctx context.Context) (promText, error)
 	// stats decodes the front workload's stats body into out.
@@ -36,16 +37,22 @@ type system interface {
 	// client received against the system's own accounting; it returns
 	// the objective reconstructed from those decisions.
 	finish() (objective float64, err error)
-	// bound is the lower bound on the optimal objective.
-	bound() float64
+	// scale is what the objective is read against.
+	scale() scale
 }
+
+// scale is what objective_ratio is read against: the lower bound on the
+// optimal objective, and the objective of the trivial engine — one that
+// rejects every request, or buys every set — whose ratio to the bound
+// shows how far the metric can move on the workload.
+type scale struct{ bound, trivial float64 }
 
 // served is a system whose front is one workload of a server.Server.
 type served[Req any, Dec server.WireDecision] struct {
 	items  []Req
 	client *server.Client[Req, Dec]
 	decs   []Dec
-	lb     float64
+	sc     scale
 	st     *stack
 	// check runs after the stack stopped, when the engines' accounting
 	// is exact.
@@ -56,8 +63,8 @@ func (s *served[Req, Dec]) closed(ctx context.Context, rec *recorder) loopResult
 	return closedLoop(ctx, clientSpan(rec, s.client.Submit), s.items, s.decs, batch, clientConns)
 }
 
-func (s *served[Req, Dec]) open(ctx context.Context, rate float64) loopResult {
-	return openLoop(ctx, s.client.Submit, s.items, s.decs, batch, clientConns, rate)
+func (s *served[Req, Dec]) open(ctx context.Context, rate float64, chunk int) loopResult {
+	return openLoop(ctx, s.client.Submit, s.items, s.decs, chunk, clientConns, rate)
 }
 
 func (s *served[Req, Dec]) scrape(ctx context.Context) (promText, error) {
@@ -84,17 +91,17 @@ func (s *served[Req, Dec]) finish() (float64, error) {
 	return s.check(s.decs)
 }
 
-func (s *served[Req, Dec]) bound() float64 { return s.lb }
+func (s *served[Req, Dec]) scale() scale { return s.sc }
 
 // start connects a client to the stack's front server and waits until it
 // is healthy.
-func start[Req any, Dec server.WireDecision](st *stack, client *server.Client[Req, Dec], items []Req, lb float64, check func([]Dec) (float64, error)) (system, error) {
+func start[Req any, Dec server.WireDecision](st *stack, client *server.Client[Req, Dec], items []Req, sc scale, check func([]Dec) (float64, error)) (system, error) {
 	if err := client.WaitHealthy(10 * time.Second); err != nil {
 		return nil, errors.Join(err, st.close())
 	}
 	return &served[Req, Dec]{
 		items: items, client: client, decs: make([]Dec, len(items)),
-		lb: lb, st: st, check: check,
+		sc: sc, st: st, check: check,
 	}, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptrace"
 	"os"
@@ -193,23 +194,51 @@ func selfTimes(spans []span, parentName string) []time.Duration {
 }
 
 // overlapSelfTimes computes self time for every span named parentName
-// against all spans named childName overlapping it in time — the link for
-// layers the benchmark cannot tag, such as the router's own backend calls.
+// against the spans named childName that overlap it in time — the link
+// for layers the benchmark cannot tag, such as the router's own backend
+// calls. Child time is taken out once in total: while k parent spans are
+// in flight and some child span runs, each parent is charged 1/k of that
+// time, so a backend call is not subtracted from both of two concurrent
+// router spans.
 func overlapSelfTimes(spans []span, parentName, childName string) []time.Duration {
-	kids := byName(spans, childName)
-	sort.Slice(kids, func(i, j int) bool { return kids[i].Start < kids[j].Start })
-	var out []time.Duration
-	for _, p := range byName(spans, parentName) {
-		var in []span
-		for _, k := range kids {
-			if k.Start >= p.End {
-				break
-			}
-			if k.End > p.Start {
-				in = append(in, k)
+	type event struct {
+		t      int64
+		start  bool
+		parent int // index into parents, or -1 for a child span
+	}
+	parents := byName(spans, parentName)
+	var evs []event
+	for i, p := range parents {
+		evs = append(evs, event{p.Start, true, i}, event{p.End, false, i})
+	}
+	for _, c := range byName(spans, childName) {
+		evs = append(evs, event{c.Start, true, -1}, event{c.End, false, -1})
+	}
+	sort.SliceStable(evs, func(i, j int) bool { return evs[i].t < evs[j].t })
+	charged := make([]float64, len(parents))
+	active := map[int]bool{}
+	children := 0
+	for i, e := range evs {
+		if i > 0 && children > 0 && len(active) > 0 {
+			share := float64(e.t-evs[i-1].t) / float64(len(active))
+			for p := range active {
+				charged[p] += share
 			}
 		}
-		out = append(out, selfTime(p, in))
+		switch {
+		case e.parent < 0 && e.start:
+			children++
+		case e.parent < 0:
+			children--
+		case e.start:
+			active[e.parent] = true
+		default:
+			delete(active, e.parent)
+		}
+	}
+	out := make([]time.Duration, len(parents))
+	for i, p := range parents {
+		out[i] = p.dur() - time.Duration(math.Round(charged[i]))
 	}
 	return out
 }

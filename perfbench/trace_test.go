@@ -35,19 +35,42 @@ func TestSelfTimeOnHandBuiltTree(t *testing.T) {
 }
 
 // TestOverlapSelfTime: without parent links, children are the spans of
-// the child layer that overlap the parent in time.
+// the child layer that overlap the parent in time, and child time that
+// falls inside two concurrent parents is split between them, so together
+// they lose it once.
 func TestOverlapSelfTime(t *testing.T) {
-	spans := []span{
-		{ID: 1, Name: "router", Start: 0, End: 100},
-		{ID: 2, Name: "backend", Start: 20, End: 30},
-		{ID: 3, Name: "backend", Start: 25, End: 50},
-		{ID: 4, Name: "backend", Start: 95, End: 140},
-		{ID: 5, Name: "backend", Start: 200, End: 300},
-		{ID: 6, Name: "router", Start: 150, End: 250},
+	cases := []struct {
+		name  string
+		spans []span
+		want  []time.Duration
+	}{
+		{"disjoint parents", []span{
+			{ID: 1, Name: "router", Start: 0, End: 100},
+			{ID: 2, Name: "backend", Start: 20, End: 30},
+			{ID: 3, Name: "backend", Start: 25, End: 50},
+			{ID: 4, Name: "backend", Start: 95, End: 140},
+			{ID: 5, Name: "backend", Start: 200, End: 300},
+			{ID: 6, Name: "router", Start: 150, End: 250},
+		}, []time.Duration{100 - 30 - 5, 100 - 50}},
+		{"concurrent parents", []span{
+			{ID: 1, Name: "router", Start: 0, End: 100},
+			{ID: 2, Name: "router", Start: 50, End: 150},
+			{ID: 3, Name: "backend", Start: 10, End: 20},   // inside the first router only
+			{ID: 4, Name: "backend", Start: 60, End: 80},   // inside both: 10 each
+			{ID: 5, Name: "backend", Start: 70, End: 90},   // overlaps 4: 80..90 is new, 5 each
+			{ID: 6, Name: "backend", Start: 120, End: 130}, // inside the second router only
+		}, []time.Duration{100 - 10 - 10 - 5, 100 - 10 - 5 - 10}},
 	}
-	got := overlapSelfTimes(spans, "router", "backend")
-	want := []time.Duration{100 - 30 - 5, 100 - 50}
-	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("self %v, want %v", got, want)
+	for _, tc := range cases {
+		got := overlapSelfTimes(tc.spans, "router", "backend")
+		if len(got) != len(tc.want) {
+			t.Fatalf("%s: self %v, want %v", tc.name, got, tc.want)
+		}
+		for i := range tc.want {
+			if got[i] != tc.want[i] {
+				t.Errorf("%s: self %v, want %v", tc.name, got, tc.want)
+				break
+			}
+		}
 	}
 }
