@@ -22,16 +22,6 @@ func quantile(xs []float64, q float64) float64 {
 
 func median(xs []float64) float64 { return quantile(xs, 0.5) }
 
-// secondLowest is the second smallest of xs, or its only value.
-func secondLowest(xs []float64) float64 {
-	if len(xs) < 2 {
-		return quantile(xs, 0)
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return s[1]
-}
-
 // ms converts durations to milliseconds.
 func ms(ds []time.Duration) []float64 {
 	out := make([]float64, len(ds))

@@ -217,7 +217,7 @@ func safeguardGuard(ins *problem.Instance, part [][]int) error {
 // engine rejects every request, as rejecting all would.
 // Automatic snapshots are off: at acserve's default of one per 100k
 // decisions, the one snapshot a phase takes stalls ~2% of its submissions
-// and alone sets latency_p99_ms, hiding the group-commit path this
+// and alone sets the open loop's p99, hiding the group-commit path this
 // workload is here to measure.
 const (
 	singleEdges    = 256
