@@ -1,9 +1,8 @@
 // Package coverengine serves online set cover with repetitions (§§4–5 of
-// the paper) behind the same batched event-loop/shard architecture as the
-// admission engine (internal/engine, DESIGN.md §5 and §9): the set system
-// is registered up front, element arrivals are submitted concurrently via
-// Submit/SubmitBatch, and each decision reports exactly which sets were
-// newly bought for that arrival.
+// the paper) on the shared shard runtime (service.Shards, DESIGN.md §5 and
+// §9): the set system is registered up front, element arrivals are
+// submitted concurrently via Submit/SubmitBatch, and each decision reports
+// exactly which sets were newly bought for that arrival.
 //
 // Sharding model. The ground set of elements is partitioned into K shards;
 // each shard owns its elements' arrival streams and runs a full, independent
@@ -21,11 +20,10 @@
 // optimum (Theorem 4 via the §4 reduction, or Theorem 7 for Bicriteria
 // mode).
 //
-// Concurrency model mirrors internal/engine: each shard is a single
-// goroutine owning all of its algorithm state, fed over a channel and
-// drained in batches; submitters block on pooled per-operation reply
-// channels. The global chosen ledger is the only cross-shard state and is
-// guarded by a mutex touched once per bought set — not per arrival.
+// Concurrency model: each shard is a single event-loop goroutine owning all
+// of its algorithm state. The global chosen ledger is the only cross-shard
+// state and is guarded by a mutex touched once per bought set — not per
+// arrival.
 //
 // Determinism: with one shard and one submitter the engine is
 // decision-for-decision identical to the sequential §4 reduction
@@ -39,6 +37,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -124,20 +123,6 @@ func (c Config) eps() float64 {
 	return c.Eps
 }
 
-func (c Config) batchSize() int {
-	if c.BatchSize <= 0 {
-		return 64
-	}
-	return c.BatchSize
-}
-
-func (c Config) queueLen() int {
-	if c.QueueLen <= 0 {
-		return 256
-	}
-	return c.QueueLen
-}
-
 // Decision reports the engine's reaction to one submitted element arrival.
 type Decision struct {
 	// Seq is the engine-assigned global arrival sequence number.
@@ -164,9 +149,8 @@ type Decision struct {
 // generic service.Decision constraint.
 func (d Decision) DecisionErr() error { return d.Err }
 
-// Stats is a snapshot of the cover engine's aggregate state. Consistency
-// matches the admission engine: per-shard consistent while open, exact
-// after Close.
+// Stats is a snapshot of the cover engine's aggregate state: per-shard
+// consistent while open, exact after Close.
 type Stats struct {
 	// Arrivals counts successfully served element arrivals.
 	Arrivals int64
@@ -188,15 +172,14 @@ type Stats struct {
 // Engine is the sharded concurrent set cover server. Submit and
 // SubmitBatch are safe for concurrent use by any number of goroutines.
 type Engine struct {
-	ins         *setcover.Instance
-	mode        Mode
-	seed        uint64       // Config.Seed, kept for Fingerprint
-	eps         float64      // resolved bicriteria slack, kept for Fingerprint
-	coreCfg     *core.Config // Config.Core, kept for Fingerprint
-	streamDepth int          // Stream window, from Config.QueueLen
-	elemShard   []int32      // global element -> owning shard
-	elemLocal   []int32      // global element -> index within the shard
-	shards      []*shard
+	ins       *setcover.Instance
+	mode      Mode
+	seed      uint64       // Config.Seed, kept for Fingerprint
+	eps       float64      // resolved bicriteria slack, kept for Fingerprint
+	coreCfg   *core.Config // Config.Core, kept for Fingerprint
+	elemShard []int32      // global element -> owning shard
+	elemLocal []int32      // global element -> index within the shard
+	rt        *service.Shards[op, reply]
 
 	// The global chosen ledger: which sets have been bought, their count
 	// and total cost. Guarded by mu; touched only when a shard reports a
@@ -209,14 +192,6 @@ type Engine struct {
 	seq      atomic.Int64
 	arrivals atomic.Int64
 	errs     atomic.Int64
-
-	closed   atomic.Bool
-	inflight atomic.Int64
-	// drainers tracks the background goroutines resolving the accounting
-	// of cancellation-abandoned arrivals; Drain and Close wait for them so
-	// the ledger and counters stay exact.
-	drainers service.DrainTracker
-	loops    sync.WaitGroup
 }
 
 // New creates a cover engine over the validated set system. Construction
@@ -233,37 +208,23 @@ func New(ins *setcover.Instance, cfg Config) (*Engine, error) {
 	if cfg.Eps != 0 && (cfg.Eps <= 0 || cfg.Eps >= 1) {
 		return nil, fmt.Errorf("coverengine: Eps = %v outside (0,1)", cfg.Eps)
 	}
-	parts := cfg.Partition
-	if parts == nil {
-		k := cfg.Shards
-		if k <= 0 {
-			k = 1
-		}
-		if k > ins.N {
-			k = ins.N
-		}
-		var err error
-		parts, err = graph.PartitionRange(ins.N, k)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if err := checkPartition(parts, ins.N); err != nil {
+	parts, err := graph.ResolvePartition(cfg.Partition, ins.N, cfg.Shards)
+	if err != nil {
 		return nil, err
 	}
 
 	e := &Engine{
-		ins:         ins,
-		mode:        cfg.Mode,
-		seed:        cfg.Seed,
-		eps:         cfg.eps(),
-		coreCfg:     cfg.Core,
-		streamDepth: cfg.queueLen(),
-		elemShard:   make([]int32, ins.N),
-		elemLocal:   make([]int32, ins.N),
-		chosen:      make([]bool, ins.M()),
+		ins:       ins,
+		mode:      cfg.Mode,
+		seed:      cfg.Seed,
+		eps:       cfg.eps(),
+		coreCfg:   cfg.Core,
+		elemShard: make([]int32, ins.N),
+		elemLocal: make([]int32, ins.N),
+		chosen:    make([]bool, ins.M()),
 	}
 	byElem := ins.SetsOf()
+	handle := make([]func(op) reply, len(parts))
 	for si, part := range parts {
 		for li, ge := range part {
 			e.elemShard[ge] = int32(si)
@@ -275,76 +236,20 @@ func New(ins *setcover.Instance, cfg Config) (*Engine, error) {
 		}
 		// Phase-1 rejections are bought before any arrival.
 		e.claim(s.initialChosen)
-		e.shards = append(e.shards, s)
-		e.loops.Add(1)
-		go func() {
-			defer e.loops.Done()
-			s.loop()
-		}()
+		handle[si] = s.handle
+		// Yield between shard builds: each is a long allocation burst with
+		// no scheduling point, and a collection that starts inside one
+		// cannot finish marking before it ends, so the heap grows
+		// unchecked meanwhile (peak RSS ~20% higher on a 4-shard,
+		// 20000-set instance without this).
+		runtime.Gosched()
 	}
+	e.rt = service.NewShards(handle, op{kind: opStats}, cfg.BatchSize, cfg.QueueLen)
 	return e, nil
 }
 
-// checkPartition verifies parts is an exact, non-empty cover of [0, n).
-func checkPartition(parts [][]int, n int) error {
-	if len(parts) == 0 {
-		return fmt.Errorf("coverengine: empty partition")
-	}
-	owner := make([]int, n)
-	for i := range owner {
-		owner[i] = -1
-	}
-	for si, part := range parts {
-		if len(part) == 0 {
-			return fmt.Errorf("coverengine: partition shard %d is empty", si)
-		}
-		for _, ge := range part {
-			if ge < 0 || ge >= n {
-				return fmt.Errorf("coverengine: partition shard %d references element %d, have %d elements", si, ge, n)
-			}
-			if owner[ge] != -1 {
-				return fmt.Errorf("coverengine: element %d in both shard %d and shard %d", ge, owner[ge], si)
-			}
-			owner[ge] = si
-		}
-	}
-	for ge, s := range owner {
-		if s == -1 {
-			return fmt.Errorf("coverengine: element %d missing from partition", ge)
-		}
-	}
-	return nil
-}
-
-// shardSeed derives shard i's RNG seed; shard 0 keeps the base seed so a
-// one-shard engine matches the sequential reduction bit for bit.
-func shardSeed(base uint64, i int) uint64 {
-	return base ^ (uint64(i) * 0x9e3779b97f4a7c15)
-}
-
-// enter registers a caller on the serving path; see the admission engine's
-// identical counter-then-flag pattern.
-func (e *Engine) enter() bool {
-	e.inflight.Add(1)
-	if e.closed.Load() {
-		e.inflight.Add(-1)
-		return false
-	}
-	return true
-}
-
-// exit balances enter.
-func (e *Engine) exit() { e.inflight.Add(-1) }
-
-// drainInflight blocks until no callers remain on the serving path.
-func (e *Engine) drainInflight() {
-	for e.inflight.Load() != 0 {
-		runtime.Gosched()
-	}
-}
-
 // Shards returns the number of shards.
-func (e *Engine) Shards() int { return len(e.shards) }
+func (e *Engine) Shards() int { return e.rt.Len() }
 
 // Mode returns the per-shard algorithm mode.
 func (e *Engine) Mode() Mode { return e.mode }
@@ -395,38 +300,36 @@ func (e *Engine) claim(ids []int) (fresh []int, added float64) {
 // served and accounted (a background drainer keeps the ledger exact), the
 // caller just stops waiting for it.
 func (e *Engine) Submit(ctx context.Context, element int) (Decision, error) {
-	if !e.enter() {
+	if !e.rt.Enter() {
 		return Decision{}, ErrClosed
 	}
-	defer e.exit()
+	defer e.rt.Exit()
 	if err := e.Validate(element); err != nil {
 		return Decision{}, err
 	}
 	seq := int(e.seq.Add(1) - 1)
-	si := int(e.elemShard[element])
-	ch, err := e.shards[si].send(ctx, op{kind: opArrive, seq: seq, elem: int(e.elemLocal[element])})
+	ch, err := e.send(ctx, element)
 	if err != nil {
 		return Decision{}, err
 	}
 	return e.await(ctx, seq, element, ch)
 }
 
+// send enqueues one arrival on the element's owning shard.
+func (e *Engine) send(ctx context.Context, element int) (chan reply, error) {
+	return e.rt.Send(ctx, int(e.elemShard[element]), op{kind: opArrive, elem: int(e.elemLocal[element])})
+}
+
 // await waits for a shard reply, folding it into the engine's accounting;
-// on ctx cancellation the pending reply is handed to a background drainer
-// so the ledger and counters stay exact.
+// on ctx cancellation the pending reply is abandoned to a background
+// drainer so the ledger and counters stay exact.
 func (e *Engine) await(ctx context.Context, seq, element int, ch chan reply) (Decision, error) {
-	select {
-	case rep := <-ch:
-		replyPool.Put(ch)
-		return e.finish(seq, element, rep), nil
-	case <-ctx.Done():
-		e.drainers.Go(func() {
-			rep := <-ch
-			replyPool.Put(ch)
-			e.finish(seq, element, rep)
-		})
-		return Decision{}, ctx.Err()
+	rep, err := e.rt.Await(ctx, ch)
+	if err != nil {
+		e.rt.Abandon([]chan reply{ch}, func(_ int, rep reply) { e.finish(seq, element, rep) })
+		return Decision{}, err
 	}
+	return e.finish(seq, element, rep), nil
 }
 
 // finish folds a shard reply into engine accounting and the Decision.
@@ -444,10 +347,9 @@ func (e *Engine) finish(seq, element int, rep reply) Decision {
 }
 
 // SubmitBatch serves a sequence of element arrivals in slice order and
-// returns one Decision per arrival, in the same order. Like the admission
-// engine's SubmitBatch it is pipelined: every arrival is dispatched to its
-// owning shard before any reply is awaited, so the per-arrival channel
-// round-trip is paid once per batch. Per-shard arrival order — and hence
+// returns one Decision per arrival, in the same order. It is pipelined:
+// every arrival is dispatched to its owning shard before any reply is
+// awaited, so the per-arrival channel round-trip is paid once per batch. Per-shard arrival order — and hence
 // the decision stream — is identical to a sequential Submit loop.
 // Validation is atomic: any out-of-range element fails the whole batch
 // before anything is dispatched. Per-arrival failures (saturated elements)
@@ -471,10 +373,10 @@ func (e *Engine) SubmitBatchPrevalidated(ctx context.Context, elements []int) ([
 	if len(elements) == 0 {
 		return nil, nil
 	}
-	if !e.enter() {
+	if !e.rt.Enter() {
 		return nil, ErrClosed
 	}
-	defer e.exit()
+	defer e.rt.Exit()
 
 	out := make([]Decision, len(elements))
 	replies := make([]chan reply, len(elements))
@@ -482,24 +384,20 @@ func (e *Engine) SubmitBatchPrevalidated(ctx context.Context, elements []int) ([
 		seq := int(e.seq.Add(1) - 1)
 		out[i].Seq = seq
 		out[i].Element = j
-		ch, err := e.shards[e.elemShard[j]].send(ctx, op{kind: opArrive, seq: seq, elem: int(e.elemLocal[j])})
+		ch, err := e.send(ctx, j)
 		if err != nil {
 			// Cancelled mid-dispatch: resolve the already-fired arrivals in
 			// the background so the ledger stays exact, then fail the batch.
-			fired := replies[:i]
-			pending := make([]Decision, i)
-			copy(pending, out[:i])
-			e.drainers.Go(func() {
-				for k, ch := range fired {
-					e.finish(pending[k].Seq, pending[k].Element, recvReply(ch))
-				}
+			pending := slices.Clone(out[:i])
+			e.rt.Abandon(replies[:i], func(k int, rep reply) {
+				e.finish(pending[k].Seq, pending[k].Element, rep)
 			})
 			return nil, err
 		}
 		replies[i] = ch
 	}
-	for i := range replies {
-		out[i] = e.finish(out[i].Seq, out[i].Element, recvReply(replies[i]))
+	for i, ch := range replies {
+		out[i] = e.finish(out[i].Seq, out[i].Element, e.rt.Recv(ch))
 	}
 	return out, nil
 }
@@ -510,26 +408,25 @@ func (e *Engine) SubmitBatchPrevalidated(ctx context.Context, elements []int) ([
 // yields decisions in send order. The stream's buffers are sized by the
 // engine's configured queue length (window ≈ 2× that).
 func (e *Engine) Stream(ctx context.Context) (*service.Stream[int, Decision], error) {
-	if e.closed.Load() {
+	if e.rt.Closed() {
 		return nil, ErrClosed
 	}
-	return service.NewStream(ctx, e.streamDepth, e.dispatch), nil
+	return service.NewStream(ctx, e.rt.QueueLen(), e.dispatch), nil
 }
 
 // dispatch fires one arrival for the stream path and returns an Await for
 // its decision; it performs exactly Submit's validation and dispatch, only
 // the wait is deferred.
 func (e *Engine) dispatch(ctx context.Context, element int) (service.Await[Decision], error) {
-	if !e.enter() {
+	if !e.rt.Enter() {
 		return nil, ErrClosed
 	}
-	defer e.exit()
+	defer e.rt.Exit()
 	if err := e.Validate(element); err != nil {
 		return nil, err
 	}
 	seq := int(e.seq.Add(1) - 1)
-	si := int(e.elemShard[element])
-	ch, err := e.shards[si].send(ctx, op{kind: opArrive, seq: seq, elem: int(e.elemLocal[element])})
+	ch, err := e.send(ctx, element)
 	if err != nil {
 		return nil, err
 	}
@@ -579,7 +476,7 @@ func (e *Engine) Stats() service.Stats {
 		Requests: arrivals + errs,
 		Accepted: arrivals,
 		Errors:   errs,
-		Shards:   len(e.shards),
+		Shards:   e.rt.Len(),
 	}
 	e.mu.Lock()
 	st.Objective = e.cost
@@ -604,24 +501,13 @@ func (e *Engine) Snapshot() Stats {
 	return st
 }
 
-// snapshots collects one state snapshot per shard (live while open, final
-// after Close); same protocol as the admission engine.
+// snapshots collects one state snapshot per shard: live while the engine
+// is open, exact after Close (service.Shards.Snapshots).
 func (e *Engine) snapshots() []shardSnapshot {
-	out := make([]shardSnapshot, len(e.shards))
-	if !e.enter() {
-		e.loops.Wait()
-		for i, s := range e.shards {
-			out[i] = s.final
-		}
-		return out
-	}
-	replies := make([]chan reply, len(e.shards))
-	for i, s := range e.shards {
-		replies[i] = s.sendNow(op{kind: opStats})
-	}
-	e.exit()
-	for i := range replies {
-		out[i] = recvReply(replies[i]).stats
+	reps := e.rt.Snapshots()
+	out := make([]shardSnapshot, len(reps))
+	for i, rep := range reps {
+		out[i] = rep.stats
 	}
 	return out
 }
@@ -629,13 +515,8 @@ func (e *Engine) snapshots() []shardSnapshot {
 // Drain blocks until no submissions are in flight — including the
 // background accounting of cancellation-abandoned arrivals — or ctx is
 // done. It does not stop new submissions — callers quiesce traffic first
-// (the serving layer refuses new work, then drains, then closes). The
-// wait parks between polls instead of spinning.
-func (e *Engine) Drain(ctx context.Context) error {
-	return service.PollIdle(ctx, func() bool {
-		return e.inflight.Load() == 0 && e.drainers.Idle()
-	})
-}
+// (the serving layer refuses new work, then drains, then closes).
+func (e *Engine) Drain(ctx context.Context) error { return e.rt.Drain(ctx) }
 
 // Close shuts the engine down: subsequent Submits fail with ErrClosed,
 // in-flight submissions finish, and every shard loop exits after recording
@@ -645,20 +526,6 @@ func (e *Engine) Drain(ctx context.Context) error {
 // fully resolved (Recv to io.EOF) first. Close is idempotent and always
 // returns nil (the error is part of the generic service contract).
 func (e *Engine) Close() error {
-	if e.closed.Swap(true) {
-		e.loops.Wait()
-		e.drainers.Wait()
-		return nil
-	}
-	e.drainInflight()
-	e.drainers.Wait()
-	for _, s := range e.shards {
-		close(s.ops)
-	}
-	e.loops.Wait()
-	// Late drainers (spawned by stream awaits resolved during shutdown)
-	// only consume already-buffered replies; wait them out so the ledger
-	// and counters are exact.
-	e.drainers.Wait()
+	e.rt.Close()
 	return nil
 }

@@ -5,9 +5,9 @@ import (
 	"math"
 )
 
-// fnv64 accumulates a deterministic FNV-1a digest over fixed-width words
-// (the same helper the admission engine uses): every input is widened to
-// eight bytes so the digest is a pure function of the mixed values.
+// fnv64 accumulates a deterministic FNV-1a digest over fixed-width words:
+// every input is widened to eight bytes so the digest is a pure function
+// of the mixed values.
 type fnv64 uint64
 
 const (
@@ -44,7 +44,7 @@ func (e *Engine) Fingerprint() string {
 			h.int(el)
 		}
 	}
-	h.int(len(e.shards))
+	h.int(e.rt.Len())
 	for _, s := range e.elemShard {
 		h.int(int(s))
 	}
@@ -74,7 +74,7 @@ func (e *Engine) Fingerprint() string {
 	} else {
 		h.word(0)
 	}
-	return fmt.Sprintf("cover/v1 n=%d m=%d k=%d mode=%v seed=%d cfg=%016x", e.ins.N, e.ins.M(), len(e.shards), e.mode, e.seed, uint64(h))
+	return fmt.Sprintf("cover/v1 n=%d m=%d k=%d mode=%v seed=%d cfg=%016x", e.ins.N, e.ins.M(), e.rt.Len(), e.mode, e.seed, uint64(h))
 }
 
 // StateDigest returns a deterministic digest of the cover engine's
@@ -86,7 +86,7 @@ func (e *Engine) Fingerprint() string {
 // arrivals in flight).
 func (e *Engine) StateDigest() uint64 {
 	var h fnv64 = fnvOffset
-	h.int(len(e.shards))
+	h.int(e.rt.Len())
 	h.word(uint64(e.seq.Load()))
 	h.word(uint64(e.arrivals.Load()))
 	h.word(uint64(e.errs.Load()))

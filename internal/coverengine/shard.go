@@ -1,9 +1,7 @@
 package coverengine
 
 import (
-	"context"
 	"fmt"
-	"sync"
 
 	"admission/internal/core"
 	"admission/internal/problem"
@@ -23,13 +21,11 @@ const (
 
 // op is one message into a shard's queue. elem is a local element index.
 type op struct {
-	kind  opKind
-	seq   int
-	elem  int
-	reply chan reply
+	kind opKind
+	elem int
 }
 
-// reply is a shard's answer, sent on the op's buffered reply channel.
+// reply is a shard's answer to one op.
 type reply struct {
 	arrival     int   // k: the element's arrival count after this op
 	newSets     []int // global set ids newly bought locally, purchase order
@@ -48,24 +44,12 @@ type shardSnapshot struct {
 	countDigest uint64
 }
 
-// replyPool recycles the per-operation reply channels (one send and one
-// receive per use, same discipline as the admission engine's pool).
-var replyPool = sync.Pool{New: func() any { return make(chan reply, 1) }}
-
-// recvReply receives an op's reply and returns its channel to the pool.
-func recvReply(ch chan reply) reply {
-	r := <-ch
-	replyPool.Put(ch)
-	return r
-}
-
 // shard owns one element partition and a full local instance of the online
-// algorithm over the set system restricted to its elements. All fields are
-// touched only by the shard's own goroutine after construction.
+// algorithm over the set system restricted to its elements. After
+// construction all fields are touched only by the shard's event loop
+// (service.Shards), through handle.
 type shard struct {
-	idx       int
-	ops       chan op
-	batchSize int
+	idx int
 
 	// setGlobal maps local set ids (portions) to global set ids.
 	setGlobal []int
@@ -88,12 +72,6 @@ type shard struct {
 	// rejections of the §4 reduction). Read once by New before the loop
 	// starts.
 	initialChosen []int
-
-	// final is the snapshot taken at loop exit; readable by other
-	// goroutines after Engine.loops.Wait().
-	final shardSnapshot
-
-	batch []op // scratch
 }
 
 // newShard builds the shard's restricted sub-instance and runs its setup
@@ -101,11 +79,9 @@ type shard struct {
 // element→sets index.
 func newShard(si int, ins *setcover.Instance, byElem [][]int, part []int, cfg Config) (*shard, error) {
 	s := &shard{
-		idx:       si,
-		ops:       make(chan op, cfg.queueLen()),
-		batchSize: cfg.batchSize(),
-		deg:       make([]int, len(part)),
-		count:     make([]int, len(part)),
+		idx:   si,
+		deg:   make([]int, len(part)),
+		count: make([]int, len(part)),
 	}
 	// Portions: for each global set, the local indices of its elements
 	// owned by this shard.
@@ -130,7 +106,7 @@ func newShard(si int, ins *setcover.Instance, byElem [][]int, part []int, cfg Co
 		// it is what keeps the one-shard engine decision-identical to
 		// ReductionRunner if the defaults ever change.
 		ccfg := setcover.CoreConfigFor(ins, setcover.ReductionConfig{Core: cfg.Core, Seed: cfg.Seed})
-		ccfg.Seed = shardSeed(ccfg.Seed, si)
+		ccfg.Seed = service.ShardSeed(ccfg.Seed, si)
 		caps := make([]int, len(part))
 		for li, d := range s.deg {
 			caps[li] = d
@@ -184,51 +160,6 @@ func newShard(si int, ins *setcover.Instance, byElem [][]int, part []int, cfg Co
 		return nil, fmt.Errorf("unknown mode %v", cfg.Mode)
 	}
 	return s, nil
-}
-
-// send enqueues an op and returns its reply channel without waiting.
-// Enqueueing honours ctx (service.TrySend), the same cancellation
-// boundary as the admission engine's shards.
-func (s *shard) send(ctx context.Context, o op) (chan reply, error) {
-	o.reply = replyPool.Get().(chan reply)
-	if err := service.TrySend(ctx, s.ops, o); err != nil {
-		replyPool.Put(o.reply)
-		return nil, err
-	}
-	return o.reply, nil
-}
-
-// sendNow enqueues an op without a cancellation boundary and returns its
-// reply channel; for ops that must always run (stats snapshots).
-func (s *shard) sendNow(o op) chan reply {
-	o.reply = replyPool.Get().(chan reply)
-	s.ops <- o
-	return o.reply
-}
-
-// loop is the shard's event loop: drain a batch of queued operations,
-// decide each in arrival order, answer on the per-op reply channels. Exits
-// when the ops channel is closed, leaving the final snapshot behind.
-func (s *shard) loop() {
-	for o := range s.ops {
-		s.batch = append(s.batch[:0], o)
-	drain:
-		for len(s.batch) < s.batchSize {
-			select {
-			case next, open := <-s.ops:
-				if !open {
-					break drain
-				}
-				s.batch = append(s.batch, next)
-			default:
-				break drain
-			}
-		}
-		for _, o := range s.batch {
-			o.reply <- s.handle(o)
-		}
-	}
-	s.final = s.snapshot()
 }
 
 // handle decides one operation.

@@ -2,6 +2,7 @@ package coverengine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"testing"
@@ -100,5 +101,96 @@ func TestCoverStreamAfterClose(t *testing.T) {
 	eng.Close()
 	if _, err := eng.Stream(context.Background()); err != ErrClosed {
 		t.Fatalf("Stream on closed engine: got %v, want ErrClosed", err)
+	}
+}
+
+// TestCoverCancellationKeepsLedgerExact cancels a SubmitBatch and a Stream
+// mid-dispatch against one-slot shard queues, closes the engine, and
+// checks every arrival that reached a shard was accounted exactly once:
+// the request counter equals the arrivals the shards served, and the
+// ledger's cost is the summed cost of the chosen sets. Every element lies
+// in every set, so no arrival in the test can saturate and refuse.
+func TestCoverCancellationKeepsLedgerExact(t *testing.T) {
+	const n, m = 4, 200
+	ins := &setcover.Instance{N: n, Sets: make([][]int, m), Costs: make([]float64, m)}
+	for id := range ins.Sets {
+		ins.Sets[id] = []int{0, 1, 2, 3}
+		ins.Costs[id] = float64(1 + id%5)
+	}
+	eng, err := New(ins, Config{Shards: 2, Seed: 3, BatchSize: 1, QueueLen: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	elements := make([]int, 64)
+	for i := range elements {
+		elements[i] = i % n
+	}
+
+	// A batch under a dead context dispatches until a shard queue is full,
+	// then fails; the already-fired prefix is resolved in the background.
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
+	for attempt := 0; attempt < 3; attempt++ {
+		if _, err := eng.SubmitBatch(dead, elements); err != nil {
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("SubmitBatch: %v", err)
+			}
+			break
+		}
+	}
+
+	// A stream cancelled with decisions still pending. Its window is two
+	// decisions deep, so a receiver drains it while the sender runs.
+	ctx, cancel := context.WithCancel(context.Background())
+	st, err := eng.Stream(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	received := make(chan error, 1)
+	go func() {
+		for {
+			if _, err := st.Recv(); err == io.EOF {
+				received <- nil
+				return
+			} else if err != nil && !errors.Is(err, context.Canceled) {
+				received <- err
+				return
+			}
+		}
+	}()
+	for _, j := range elements {
+		if err := st.Send(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cancel()
+	if err := st.Send(0); err == nil {
+		t.Fatal("Send after cancel succeeded")
+	}
+	st.Close()
+	if err := <-received; err != nil {
+		t.Fatalf("Recv: %v", err)
+	}
+
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	served := 0
+	for _, snap := range eng.snapshots() {
+		served += snap.arrivals
+	}
+	stats := eng.Stats()
+	if stats.Errors != 0 || stats.Requests != stats.Accepted+stats.Errors || stats.Requests != int64(served) {
+		t.Fatalf("stats %+v, want Requests == Accepted + Errors == %d served arrivals", stats, served)
+	}
+	if served < len(elements) {
+		t.Fatalf("shards served %d arrivals, want at least the %d streamed", served, len(elements))
+	}
+	want := 0.0
+	for _, id := range eng.Chosen() {
+		want += ins.Cost(id)
+	}
+	if got := eng.Cost(); got != want {
+		t.Fatalf("Cost() = %v, want %v summed over Chosen()", got, want)
 	}
 }

@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"admission/internal/core"
 	"admission/internal/graph"
@@ -32,10 +31,10 @@ import (
 // An empty edge list is a deterministic refused no-op, so protocol-level
 // rejections still consume their place in the decision stream.
 func (e *Engine) SubmitReserve(ctx context.Context, edges []int) (Decision, error) {
-	if !e.enter() {
+	if !e.rt.Enter() {
 		return Decision{}, ErrClosed
 	}
-	defer e.exit()
+	defer e.rt.Exit()
 	if err := e.ValidateClusterEdges(edges); err != nil {
 		return Decision{}, err
 	}
@@ -71,10 +70,10 @@ func (e *Engine) SubmitRelease(ctx context.Context, edges []int) (Decision, erro
 // calls are context-free on purpose — once phase 2 starts it must run to
 // completion to keep the reservation ledgers consistent.
 func (e *Engine) settle(ctx context.Context, kind opKind, edges []int) (Decision, error) {
-	if !e.enter() {
+	if !e.rt.Enter() {
 		return Decision{}, ErrClosed
 	}
-	defer e.exit()
+	defer e.rt.Exit()
 	if err := e.ValidateClusterEdges(edges); err != nil {
 		return Decision{}, err
 	}
@@ -86,14 +85,8 @@ func (e *Engine) settle(ctx context.Context, kind opKind, edges []int) (Decision
 	if len(edges) == 0 {
 		return Decision{ID: id, CrossShard: true}, nil
 	}
-	byShard := e.groupByShard(edges)
-	order := make([]int, 0, len(byShard))
-	for si := range byShard {
-		order = append(order, si)
-	}
-	sort.Ints(order)
-	for _, si := range order {
-		if rep := e.shards[si].call(op{kind: kind, edges: byShard[si]}); rep.err != nil {
+	for _, g := range e.groupByShard(edges) {
+		if rep := e.rt.Call(g.shard, op{kind: kind, edges: g.edges}); rep.err != nil {
 			e.errs.Add(1)
 			return Decision{}, rep.err
 		}
@@ -130,19 +123,8 @@ func ConfigFingerprint(capacities []int, cfg Config) (string, error) {
 	if err := cfg.Algorithm.Validate(); err != nil {
 		return "", err
 	}
-	parts := cfg.Partition
-	if parts == nil {
-		k := cfg.Shards
-		if k <= 0 {
-			k = 1
-		}
-		var err error
-		parts, err = graph.PartitionRange(len(capacities), k)
-		if err != nil {
-			return "", err
-		}
-	}
-	if err := checkPartition(parts, len(capacities)); err != nil {
+	parts, err := graph.ResolvePartition(cfg.Partition, len(capacities), cfg.Shards)
+	if err != nil {
 		return "", err
 	}
 	edgeShard := make([]int32, len(capacities))

@@ -41,7 +41,7 @@ func (h *fnv64) bool(v bool) {
 // differs. Two engines built from the same capacities and Config always
 // agree.
 func (e *Engine) Fingerprint() string {
-	return fingerprintOf(e.caps, len(e.shards), e.edgeShard, e.algCfg)
+	return fingerprintOf(e.caps, e.rt.Len(), e.edgeShard, e.algCfg)
 }
 
 // StateDigest returns a deterministic digest of the engine's decision
@@ -59,7 +59,7 @@ func (e *Engine) Fingerprint() string {
 // vanish.
 func (e *Engine) StateDigest() uint64 {
 	var h fnv64 = fnvOffset
-	h.int(len(e.shards))
+	h.int(e.rt.Len())
 	h.word(uint64(e.requests.Load()))
 	h.word(uint64(e.accepted.Load()))
 	h.word(uint64(e.crossShard.Load()))

@@ -4,14 +4,13 @@
 // algorithms inside each shard's event loop, and routes every incoming
 // request to the shard(s) owning its edges.
 //
-// Concurrency model. Each shard is a single goroutine that owns all of its
-// state — the §3 randomized algorithm over the shard's local capacity
-// vector, the local→global ID maps, and the cross-shard reservation
-// counters. Shards communicate exclusively over channels (no mutexes on the
-// admission path): submitters send operations into a shard's queue and block
-// on a per-operation reply channel; the shard drains its queue in batches
-// and decides each operation in arrival order. Shards never send to other
-// shards, so the topology is acyclic and deadlock-free.
+// Concurrency model. The shards run on the shared shard runtime
+// (service.Shards): each is a single goroutine that owns all of its state —
+// the §3 randomized algorithm over the shard's local capacity vector, the
+// local→global request map, and the cross-shard reservation counters — and
+// decides the operations queued to it in arrival order. There are no
+// mutexes on the admission path. Shards never send to other shards, so the
+// topology is acyclic and deadlock-free.
 //
 // Requests whose edges all live in one shard take the fast path: a single
 // Offer against that shard's §3 instance, preserving the paper's
@@ -35,8 +34,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -93,20 +91,6 @@ func DefaultConfig() Config {
 	return Config{Shards: 1, Algorithm: core.DefaultConfig()}
 }
 
-func (c Config) batchSize() int {
-	if c.BatchSize <= 0 {
-		return 64
-	}
-	return c.BatchSize
-}
-
-func (c Config) queueLen() int {
-	if c.QueueLen <= 0 {
-		return 256
-	}
-	return c.QueueLen
-}
-
 // Decision reports the engine's reaction to one submitted request.
 type Decision struct {
 	// ID is the engine-assigned global request ID.
@@ -160,12 +144,12 @@ type Stats struct {
 // Engine is the sharded concurrent admission server. Submit is safe for
 // concurrent use by any number of goroutines.
 type Engine struct {
-	caps        []int
-	algCfg      core.Config
-	streamDepth int     // Stream window, from Config.QueueLen
-	edgeShard   []int32 // global edge -> owning shard
-	edgeLocal   []int32 // global edge -> index within the shard
-	shards      []*shard
+	caps      []int
+	algCfg    core.Config
+	parts     [][]int // shard -> its global edges, by local index
+	edgeShard []int32 // global edge -> owning shard
+	edgeLocal []int32 // global edge -> index within the shard
+	rt        *service.Shards[op, reply]
 
 	nextID        atomic.Int64
 	requests      atomic.Int64
@@ -174,39 +158,6 @@ type Engine struct {
 	crossShard    atomic.Int64
 	crossAccepted atomic.Int64
 	crossRejected atomicFloat64 // Σ cost of rejected cross-shard requests
-
-	closed   atomic.Bool
-	inflight atomic.Int64 // active Submit/Stats entries; see enter/exit
-	// drainers tracks the background goroutines resolving the accounting
-	// of cancellation-abandoned operations; Drain and Close wait for them
-	// so post-Close statistics stay exact.
-	drainers service.DrainTracker
-	loops    sync.WaitGroup
-}
-
-// enter registers a caller on the admission path. It returns false once the
-// engine is closed. The counter-then-flag order pairs with Close's
-// flag-then-drain order: a caller that incremented before Close set the flag
-// is drained; one that incremented after observes the flag and backs out.
-// (A plain WaitGroup would panic here: Add may not race with Wait.)
-func (e *Engine) enter() bool {
-	e.inflight.Add(1)
-	if e.closed.Load() {
-		e.inflight.Add(-1)
-		return false
-	}
-	return true
-}
-
-// exit balances enter.
-func (e *Engine) exit() { e.inflight.Add(-1) }
-
-// drainInflight blocks until no callers remain on the admission path. Only
-// Close (and post-close snapshot reads) call it, so polling is fine.
-func (e *Engine) drainInflight() {
-	for e.inflight.Load() != 0 {
-		runtime.Gosched()
-	}
 }
 
 // New creates an engine over the capacity vector.
@@ -222,102 +173,47 @@ func New(capacities []int, cfg Config) (*Engine, error) {
 	if err := cfg.Algorithm.Validate(); err != nil {
 		return nil, err
 	}
-	parts := cfg.Partition
-	if parts == nil {
-		k := cfg.Shards
-		if k <= 0 {
-			k = 1
-		}
-		var err error
-		parts, err = graph.PartitionRange(len(capacities), k)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if err := checkPartition(parts, len(capacities)); err != nil {
+	parts, err := graph.ResolvePartition(cfg.Partition, len(capacities), cfg.Shards)
+	if err != nil {
 		return nil, err
 	}
 
 	e := &Engine{
-		caps:        append([]int(nil), capacities...),
-		algCfg:      cfg.Algorithm,
-		streamDepth: cfg.queueLen(),
-		edgeShard:   make([]int32, len(capacities)),
-		edgeLocal:   make([]int32, len(capacities)),
+		caps:      append([]int(nil), capacities...),
+		algCfg:    cfg.Algorithm,
+		parts:     make([][]int, len(parts)),
+		edgeShard: make([]int32, len(capacities)),
+		edgeLocal: make([]int32, len(capacities)),
 	}
+	handle := make([]func(op) reply, len(parts))
 	for si, part := range parts {
+		e.parts[si] = append([]int(nil), part...)
 		localCaps := make([]int, len(part))
-		globalEdges := make([]int, len(part))
 		for li, ge := range part {
 			e.edgeShard[ge] = int32(si)
 			e.edgeLocal[ge] = int32(li)
 			localCaps[li] = capacities[ge]
-			globalEdges[li] = ge
 		}
 		acfg := cfg.Algorithm
-		acfg.Seed = shardSeed(cfg.Algorithm.Seed, si)
+		acfg.Seed = service.ShardSeed(cfg.Algorithm.Seed, si)
 		alg, err := core.NewRandomized(localCaps, acfg)
 		if err != nil {
 			return nil, fmt.Errorf("engine: shard %d: %w", si, err)
 		}
 		s := &shard{
-			idx:         si,
-			ops:         make(chan op, cfg.queueLen()),
-			batchSize:   cfg.batchSize(),
-			alg:         alg,
-			globalEdges: globalEdges,
-			reserved:    make([]int, len(part)),
-			committed:   make([]int, len(part)),
+			idx:       si,
+			alg:       alg,
+			reserved:  make([]int, len(part)),
+			committed: make([]int, len(part)),
 		}
-		e.shards = append(e.shards, s)
-		e.loops.Add(1)
-		go func() {
-			defer e.loops.Done()
-			s.loop()
-		}()
+		handle[si] = s.handle
 	}
+	e.rt = service.NewShards(handle, op{kind: opStats}, cfg.BatchSize, cfg.QueueLen)
 	return e, nil
 }
 
-// checkPartition verifies parts is an exact, non-empty cover of [0, m).
-func checkPartition(parts [][]int, m int) error {
-	if len(parts) == 0 {
-		return fmt.Errorf("engine: empty partition")
-	}
-	owner := make([]int, m)
-	for i := range owner {
-		owner[i] = -1
-	}
-	for si, part := range parts {
-		if len(part) == 0 {
-			return fmt.Errorf("engine: partition shard %d is empty", si)
-		}
-		for _, ge := range part {
-			if ge < 0 || ge >= m {
-				return fmt.Errorf("engine: partition shard %d references edge %d, have %d edges", si, ge, m)
-			}
-			if owner[ge] != -1 {
-				return fmt.Errorf("engine: edge %d in both shard %d and shard %d", ge, owner[ge], si)
-			}
-			owner[ge] = si
-		}
-	}
-	for ge, s := range owner {
-		if s == -1 {
-			return fmt.Errorf("engine: edge %d missing from partition", ge)
-		}
-	}
-	return nil
-}
-
-// shardSeed derives shard i's RNG seed. Shard 0 keeps the base seed so a
-// one-shard engine is bit-identical to the unsharded algorithm.
-func shardSeed(base uint64, i int) uint64 {
-	return base ^ (uint64(i) * 0x9e3779b97f4a7c15)
-}
-
 // Shards returns the number of shards.
-func (e *Engine) Shards() int { return len(e.shards) }
+func (e *Engine) Shards() int { return e.rt.Len() }
 
 // NumEdges returns the number of edges of the capacity vector the engine
 // was created over.
@@ -345,10 +241,10 @@ func (e *Engine) Validate(r problem.Request) error {
 // background drainer keeps the counters exact), the caller just stops
 // waiting for it.
 func (e *Engine) Submit(ctx context.Context, r problem.Request) (Decision, error) {
-	if !e.enter() {
+	if !e.rt.Enter() {
 		return Decision{}, ErrClosed
 	}
-	defer e.exit()
+	defer e.rt.Exit()
 	if err := e.Validate(r); err != nil {
 		return Decision{}, err
 	}
@@ -359,7 +255,7 @@ func (e *Engine) Submit(ctx context.Context, r problem.Request) (Decision, error
 	// partition) — one local slice, no map.
 	if single := e.singleShardOf(r.Edges); single >= 0 {
 		buf := e.localizeEdges(r.Edges)
-		ch, err := e.shards[single].send(ctx, op{kind: opOffer, globalID: id, edges: *buf, cost: r.Cost})
+		ch, err := e.rt.Send(ctx, single, op{kind: opOffer, globalID: id, edges: *buf, cost: r.Cost})
 		if err != nil {
 			edgeBufPool.Put(buf)
 			return Decision{}, err
@@ -395,39 +291,44 @@ func (e *Engine) localizeEdges(edges []int) *[]int {
 	return buf
 }
 
-// groupByShard buckets the global edges by owning shard, as local indices.
-func (e *Engine) groupByShard(edges []int) map[int][]int {
-	byShard := map[int][]int{}
+// shardEdges is one shard's part of a multi-shard operation: the owning
+// shard and the local indices of its edges.
+type shardEdges struct {
+	shard int
+	edges []int
+}
+
+// groupByShard buckets the global edges by owning shard, as local indices,
+// in ascending shard order — the order every multi-shard operation fires
+// its per-shard ops in.
+func (e *Engine) groupByShard(edges []int) []shardEdges {
+	var groups []shardEdges
 	for _, ge := range edges {
 		si := int(e.edgeShard[ge])
-		byShard[si] = append(byShard[si], int(e.edgeLocal[ge]))
+		i, found := slices.BinarySearchFunc(groups, si, func(g shardEdges, si int) int { return g.shard - si })
+		if !found {
+			groups = slices.Insert(groups, i, shardEdges{shard: si})
+		}
+		groups[i].edges = append(groups[i].edges, int(e.edgeLocal[ge]))
 	}
-	return byShard
+	return groups
 }
 
 // awaitLocal waits for a single-shard decision, recycling the pooled edge
-// buffer and reply channel. On ctx cancellation the pending reply is
-// handed to a background drainer so the engine's accounting (and the
-// pools) stay exact.
+// buffer. On ctx cancellation the pending reply is abandoned to a
+// background drainer so the engine's accounting (and the pools) stay
+// exact.
 func (e *Engine) awaitLocal(ctx context.Context, id int, ch chan reply, buf *[]int) (Decision, error) {
-	select {
-	case rep := <-ch:
-		replyPool.Put(ch)
-		if buf != nil {
+	rep, err := e.rt.Await(ctx, ch)
+	if err != nil {
+		e.rt.Abandon([]chan reply{ch}, func(_ int, rep reply) {
 			edgeBufPool.Put(buf)
-		}
-		return e.finishLocal(id, rep)
-	case <-ctx.Done():
-		e.drainers.Go(func() {
-			rep := <-ch
-			replyPool.Put(ch)
-			if buf != nil {
-				edgeBufPool.Put(buf)
-			}
 			_, _ = e.finishLocal(id, rep)
 		})
-		return Decision{}, ctx.Err()
+		return Decision{}, err
 	}
+	edgeBufPool.Put(buf)
+	return e.finishLocal(id, rep)
 }
 
 // finishLocal folds a single-shard reply into the engine's accounting and
@@ -448,29 +349,19 @@ func (e *Engine) finishLocal(id int, rep reply) (Decision, error) {
 // Cancellation is honoured while firing the reservations; once every
 // involved shard has the operation queued, the protocol runs to completion
 // (phase 2 restores invariants and must not be abandoned half-way).
-func (e *Engine) submitCross(ctx context.Context, id int, byShard map[int][]int, cost float64) (Decision, error) {
-	order := make([]int, 0, len(byShard))
-	for si := range byShard {
-		order = append(order, si)
-	}
-	sort.Ints(order)
-
+func (e *Engine) submitCross(ctx context.Context, id int, groups []shardEdges, cost float64) (Decision, error) {
 	// Phase 1: fire all reservations, then collect. Shards work in
 	// parallel; replies arrive on per-op buffered channels.
-	replies := make([]chan reply, len(order))
-	for i, si := range order {
-		ch, err := e.shards[si].send(ctx, op{kind: opReserve, globalID: id, edges: byShard[si]})
+	replies := make([]chan reply, len(groups))
+	for i, g := range groups {
+		ch, err := e.rt.Send(ctx, g.shard, op{kind: opReserve, globalID: id, edges: g.edges})
 		if err != nil {
 			// Cancelled mid-fire: resolve the reservations already queued in
 			// the background (collect grants, then release them) so no
 			// capacity unit leaks.
-			fired, shards := replies[:i], order[:i]
-			e.drainers.Go(func() {
-				for j, ch := range fired {
-					rep := recvReply(ch)
-					if rep.err == nil && rep.ok {
-						e.shards[shards[j]].call(op{kind: opRelease, edges: byShard[shards[j]]})
-					}
+			e.rt.Abandon(replies[:i], func(j int, rep reply) {
+				if rep.err == nil && rep.ok {
+					e.rt.Call(groups[j].shard, op{kind: opRelease, edges: groups[j].edges})
 				}
 			})
 			return Decision{}, err
@@ -479,18 +370,18 @@ func (e *Engine) submitCross(ctx context.Context, id int, byShard map[int][]int,
 	}
 	e.crossShard.Add(1)
 	e.requests.Add(1)
-	granted := make([]int, 0, len(order))
+	granted := make([]shardEdges, 0, len(groups))
 	var preempted []int
 	ok := true
 	var firstErr error
-	for i, si := range order {
-		rep := recvReply(replies[i])
+	for i, g := range groups {
+		rep := e.rt.Recv(replies[i])
 		if rep.err != nil && firstErr == nil {
 			firstErr = rep.err
 		}
 		preempted = append(preempted, rep.preempted...)
 		if rep.err == nil && rep.ok {
-			granted = append(granted, si)
+			granted = append(granted, g)
 		} else {
 			ok = false
 		}
@@ -498,8 +389,8 @@ func (e *Engine) submitCross(ctx context.Context, id int, byShard map[int][]int,
 
 	// Phase 2: abort on any refusal, releasing the granted reservations.
 	if !ok {
-		for _, si := range granted {
-			rep := e.shards[si].call(op{kind: opRelease, edges: byShard[si]})
+		for _, g := range granted {
+			rep := e.rt.Call(g.shard, op{kind: opRelease, edges: g.edges})
 			if rep.err != nil && firstErr == nil {
 				firstErr = rep.err
 			}
@@ -552,10 +443,10 @@ func (e *Engine) SubmitBatchPrevalidated(ctx context.Context, reqs []problem.Req
 	if len(reqs) == 0 {
 		return nil, nil
 	}
-	if !e.enter() {
+	if !e.rt.Enter() {
 		return nil, ErrClosed
 	}
-	defer e.exit()
+	defer e.rt.Exit()
 
 	out := make([]Decision, len(reqs))
 	type pendingOffer struct {
@@ -564,15 +455,16 @@ func (e *Engine) SubmitBatchPrevalidated(ctx context.Context, reqs []problem.Req
 		buf *[]int
 	}
 	pend := make([]pendingOffer, 0, len(reqs))
-	// drainPend resolves already-fired offers in the background after a
-	// mid-dispatch cancellation, keeping the accounting and pools exact.
+	// drainPend abandons already-fired offers to a background drainer after
+	// a mid-dispatch cancellation, keeping the accounting and pools exact.
 	drainPend := func(pend []pendingOffer) {
-		e.drainers.Go(func() {
-			for _, p := range pend {
-				rep := recvReply(p.ch)
-				edgeBufPool.Put(p.buf)
-				_, _ = e.finishLocal(out[p.idx].ID, rep)
-			}
+		fired := make([]chan reply, len(pend))
+		for i, p := range pend {
+			fired[i] = p.ch
+		}
+		e.rt.Abandon(fired, func(i int, rep reply) {
+			edgeBufPool.Put(pend[i].buf)
+			_, _ = e.finishLocal(out[pend[i].idx].ID, rep)
 		})
 	}
 
@@ -583,7 +475,7 @@ func (e *Engine) SubmitBatchPrevalidated(ctx context.Context, reqs []problem.Req
 
 		if single := e.singleShardOf(r.Edges); single >= 0 {
 			buf := e.localizeEdges(r.Edges)
-			ch, err := e.shards[single].send(ctx, op{kind: opOffer, globalID: id, edges: *buf, cost: r.Cost})
+			ch, err := e.rt.Send(ctx, single, op{kind: opOffer, globalID: id, edges: *buf, cost: r.Cost})
 			if err != nil {
 				edgeBufPool.Put(buf)
 				drainPend(pend)
@@ -612,7 +504,7 @@ func (e *Engine) SubmitBatchPrevalidated(ctx context.Context, reqs []problem.Req
 	// leak; the ops are already queued, so the waits here are bounded by
 	// shard processing, not by new traffic.
 	for _, p := range pend {
-		rep := recvReply(p.ch)
+		rep := e.rt.Recv(p.ch)
 		edgeBufPool.Put(p.buf)
 		d, err := e.finishLocal(out[p.idx].ID, rep)
 		if err != nil {
@@ -633,27 +525,27 @@ func (e *Engine) SubmitBatchPrevalidated(ctx context.Context, reqs []problem.Req
 // SubmitBatch. The stream's buffers are sized by the engine's configured
 // queue length (window ≈ 2× that).
 func (e *Engine) Stream(ctx context.Context) (*service.Stream[problem.Request, Decision], error) {
-	if e.closed.Load() {
+	if e.rt.Closed() {
 		return nil, ErrClosed
 	}
-	return service.NewStream(ctx, e.streamDepth, e.dispatch), nil
+	return service.NewStream(ctx, e.rt.QueueLen(), e.dispatch), nil
 }
 
 // dispatch fires one request for the stream path and returns an Await for
 // its decision. It performs exactly Submit's validation and dispatch; only
 // the wait is deferred.
 func (e *Engine) dispatch(ctx context.Context, r problem.Request) (service.Await[Decision], error) {
-	if !e.enter() {
+	if !e.rt.Enter() {
 		return nil, ErrClosed
 	}
-	defer e.exit()
+	defer e.rt.Exit()
 	if err := e.Validate(r); err != nil {
 		return nil, err
 	}
 	id := int(e.nextID.Add(1) - 1)
 	if single := e.singleShardOf(r.Edges); single >= 0 {
 		buf := e.localizeEdges(r.Edges)
-		ch, err := e.shards[single].send(ctx, op{kind: opOffer, globalID: id, edges: *buf, cost: r.Cost})
+		ch, err := e.rt.Send(ctx, single, op{kind: opOffer, globalID: id, edges: *buf, cost: r.Cost})
 		if err != nil {
 			edgeBufPool.Put(buf)
 			return nil, err
@@ -743,7 +635,7 @@ func (e *Engine) Stats() service.Stats {
 		Accepted:  e.accepted.Load(),
 		Errors:    e.errs.Load(),
 		Objective: e.RejectedCost(),
-		Shards:    len(e.shards),
+		Shards:    e.rt.Len(),
 	}
 }
 
@@ -762,7 +654,7 @@ func (e *Engine) Snapshot() Stats {
 		st.RejectedCost += snap.rejectedCost
 		st.Preemptions += int64(snap.preemptions)
 		for li, load := range snap.loads {
-			ge := e.shards[si].globalEdges[li]
+			ge := e.parts[si][li]
 			st.Loads[ge] = load
 			st.Capacities[ge] = snap.caps[li]
 		}
@@ -770,29 +662,13 @@ func (e *Engine) Snapshot() Stats {
 	return st
 }
 
-// snapshots collects one state snapshot per shard: live via stats ops while
-// the engine is open, or the final snapshots recorded at loop exit after
-// Close. The enter registration makes a live snapshot safe against a
-// concurrent Close (Close drains it before closing the shard queues).
+// snapshots collects one state snapshot per shard: live while the engine
+// is open, exact after Close (service.Shards.Snapshots).
 func (e *Engine) snapshots() []shardSnapshot {
-	out := make([]shardSnapshot, len(e.shards))
-	if !e.enter() {
-		// Closed: read the final snapshots once the loops have exited.
-		e.loops.Wait()
-		for i, s := range e.shards {
-			out[i] = s.final
-		}
-		return out
-	}
-	replies := make([]chan reply, len(e.shards))
-	for i, s := range e.shards {
-		replies[i] = s.sendNow(op{kind: opStats})
-	}
-	// The ops are queued; shards answer them even if Close runs now, so the
-	// admission path can be released before collecting.
-	e.exit()
-	for i := range replies {
-		out[i] = recvReply(replies[i]).stats
+	reps := e.rt.Snapshots()
+	out := make([]shardSnapshot, len(reps))
+	for i, rep := range reps {
+		out[i] = rep.stats
 	}
 	return out
 }
@@ -800,14 +676,8 @@ func (e *Engine) snapshots() []shardSnapshot {
 // Drain blocks until no submissions are in flight — including the
 // background accounting of cancellation-abandoned operations — or ctx is
 // done. It does not stop new submissions — callers quiesce traffic first
-// (the serving layer refuses new work, then drains, then closes). The
-// wait parks between polls instead of spinning, so a long drain does not
-// burn a core.
-func (e *Engine) Drain(ctx context.Context) error {
-	return service.PollIdle(ctx, func() bool {
-		return e.inflight.Load() == 0 && e.drainers.Idle()
-	})
-}
+// (the serving layer refuses new work, then drains, then closes).
+func (e *Engine) Drain(ctx context.Context) error { return e.rt.Drain(ctx) }
 
 // Close shuts the engine down: subsequent Submits fail with ErrClosed,
 // in-flight submissions finish, and every shard loop exits after recording
@@ -818,23 +688,7 @@ func (e *Engine) Drain(ctx context.Context) error {
 // and always returns nil (the error is part of the generic service
 // contract).
 func (e *Engine) Close() error {
-	if e.closed.Swap(true) {
-		e.loops.Wait()
-		e.drainers.Wait()
-		return nil
-	}
-	e.drainInflight()
-	// Wait for cancellation drainers before closing the shard queues: a
-	// cross-shard abort drainer may still need to enqueue release ops.
-	e.drainers.Wait()
-	for _, s := range e.shards {
-		close(s.ops)
-	}
-	e.loops.Wait()
-	// Late drainers (spawned by stream awaits resolved during shutdown)
-	// only consume already-buffered replies; wait them out so post-Close
-	// statistics are exact.
-	e.drainers.Wait()
+	e.rt.Close()
 	return nil
 }
 

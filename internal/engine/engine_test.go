@@ -3,13 +3,17 @@ package engine
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
 	"admission/internal/core"
+	"admission/internal/coverengine"
 	"admission/internal/graph"
 	"admission/internal/problem"
 	"admission/internal/rng"
+	"admission/internal/service"
+	"admission/internal/setcover"
 	"admission/internal/workload"
 )
 
@@ -113,7 +117,7 @@ func TestShardedMatchesPerShardReference(t *testing.T) {
 			local[i] = caps[ge]
 		}
 		cfg := acfg
-		cfg.Seed = shardSeed(acfg.Seed, s)
+		cfg.Seed = service.ShardSeed(acfg.Seed, s)
 		refs[s], err = core.NewRandomized(local, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -383,7 +387,9 @@ func TestConcurrentStats(t *testing.T) {
 	_ = eng.Snapshot()
 }
 
-// TestConfigValidation covers constructor errors.
+// TestConfigValidation covers constructor errors. The bad partitions are
+// also fed to the cover engine, which resolves its element partition
+// through the same graph.ResolvePartition.
 func TestConfigValidation(t *testing.T) {
 	good := core.DefaultConfig()
 	cases := []struct {
@@ -402,6 +408,13 @@ func TestConfigValidation(t *testing.T) {
 	for _, tc := range cases {
 		if _, err := New(tc.caps, tc.cfg); err == nil {
 			t.Errorf("%s: want error", tc.name)
+		}
+		if tc.cfg.Partition == nil {
+			continue
+		}
+		ins := &setcover.Instance{N: len(tc.caps), Sets: [][]int{{0, 1}}}
+		if _, err := coverengine.New(ins, coverengine.Config{Partition: tc.cfg.Partition}); err == nil || !strings.Contains(err.Error(), "partition") {
+			t.Errorf("%s: cover engine: got %v, want a partition error", tc.name, err)
 		}
 	}
 	// Shards beyond the edge count clamp rather than fail.

@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"sort"
 )
 
 // AllEdges selects every edge of the engine in GrowCapacity and
@@ -58,49 +57,36 @@ func (e *Engine) resize(ctx context.Context, kind opKind, edge, units int) (Resi
 	if edge != AllEdges && (edge < 0 || edge >= len(e.caps)) {
 		return Resize{}, fmt.Errorf("engine: resize of unknown edge %d, have %d edges", edge, len(e.caps))
 	}
-	if !e.enter() {
+	if !e.rt.Enter() {
 		return Resize{}, ErrClosed
 	}
-	defer e.exit()
+	defer e.rt.Exit()
 
-	// Bucket the target edges by owning shard as local indices: one op per
-	// involved shard, shards working in parallel.
-	byShard := map[int][]int{}
+	// One op per involved shard, shards working in parallel.
+	targets := []int{edge}
 	if edge == AllEdges {
-		for ge := range e.caps {
-			si := int(e.edgeShard[ge])
-			byShard[si] = append(byShard[si], int(e.edgeLocal[ge]))
+		targets = make([]int, len(e.caps))
+		for ge := range targets {
+			targets[ge] = ge
 		}
-	} else {
-		byShard[int(e.edgeShard[edge])] = []int{int(e.edgeLocal[edge])}
 	}
-	order := make([]int, 0, len(byShard))
-	for si := range byShard {
-		order = append(order, si)
-	}
-	sort.Ints(order)
-
+	groups := e.groupByShard(targets)
 	res := Resize{Edge: edge}
-	replies := make([]chan reply, len(order))
-	for i, si := range order {
-		ch, err := e.shards[si].send(ctx, op{kind: kind, edges: byShard[si], units: units})
+	replies := make([]chan reply, len(groups))
+	for i, g := range groups {
+		ch, err := e.rt.Send(ctx, g.shard, op{kind: kind, edges: g.edges, units: units})
 		if err != nil {
 			// Cancelled mid-fire: the ops already queued still apply; await
 			// them in the background so the reply channels recycle.
-			fired := replies[:i]
-			e.drainers.Go(func() {
-				for _, ch := range fired {
-					recvReply(ch)
-				}
-			})
+			e.rt.Abandon(replies[:i], nil)
 			return Resize{}, err
 		}
-		res.Requested += units * len(byShard[si])
+		res.Requested += units * len(g.edges)
 		replies[i] = ch
 	}
 	var firstErr error
-	for i := range order {
-		rep := recvReply(replies[i])
+	for _, ch := range replies {
+		rep := e.rt.Recv(ch)
 		res.Applied += rep.applied
 		res.Preempted = append(res.Preempted, rep.preempted...)
 		if rep.err != nil && firstErr == nil {
@@ -120,7 +106,7 @@ func (e *Engine) Capacities() []int {
 	out := make([]int, len(e.caps))
 	for si, snap := range e.snapshots() {
 		for li, c := range snap.caps {
-			out[e.shards[si].globalEdges[li]] = c
+			out[e.parts[si][li]] = c
 		}
 	}
 	return out

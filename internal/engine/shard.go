@@ -1,13 +1,10 @@
 package engine
 
 import (
-	"context"
 	"fmt"
-	"sync"
 
 	"admission/internal/core"
 	"admission/internal/problem"
-	"admission/internal/service"
 )
 
 // opKind enumerates shard operations.
@@ -49,10 +46,9 @@ type op struct {
 	edges    []int
 	units    int // opGrow/opShrink: capacity units per listed edge
 	cost     float64
-	reply    chan reply
 }
 
-// reply is a shard's answer, sent on the op's buffered reply channel.
+// reply is a shard's answer to one op.
 type reply struct {
 	ok        bool
 	applied   int   // opGrow/opShrink: capacity units actually applied
@@ -70,90 +66,15 @@ type shardSnapshot struct {
 	caps         []int // per local edge: effective capacity + reservations
 }
 
-// replyPool recycles the per-operation reply channels: every op's channel
-// carries exactly one send and one receive, so a channel is safe to reuse as
-// soon as its reply has been consumed. This removes one channel allocation
-// per operation from the admission path.
-var replyPool = sync.Pool{New: func() any { return make(chan reply, 1) }}
-
-// recvReply receives an op's reply and returns its channel to the pool.
-func recvReply(ch chan reply) reply {
-	r := <-ch
-	replyPool.Put(ch)
-	return r
-}
-
 // shard owns one edge partition. All fields are touched only by the shard's
-// own goroutine (loop); other goroutines communicate via ops.
+// event loop (service.Shards), through handle.
 type shard struct {
-	idx       int
-	ops       chan op
-	batchSize int
+	idx int
 
-	alg         *core.Randomized
-	globalEdges []int // local edge -> global edge ID
-	reserved    []int // per local edge: granted cross-shard reservations
-	committed   []int // per local edge: committed (permanent) reservations
-	reqGlobal   []int // local request ID -> global request ID
-
-	// final is the snapshot taken when the loop exits; readable by other
-	// goroutines after Engine.loops.Wait() (happens-before via join).
-	final shardSnapshot
-
-	batch []op // scratch
-}
-
-// send enqueues an op and returns its reply channel without waiting. The
-// channel comes from replyPool; consume it with recvReply to recycle it.
-// Enqueueing honours ctx (service.TrySend): when the shard queue is full
-// and ctx is done the op is not enqueued and ctx's error is returned —
-// the cancellation boundary of the generic serving contract.
-func (s *shard) send(ctx context.Context, o op) (chan reply, error) {
-	o.reply = replyPool.Get().(chan reply)
-	if err := service.TrySend(ctx, s.ops, o); err != nil {
-		replyPool.Put(o.reply)
-		return nil, err
-	}
-	return o.reply, nil
-}
-
-// sendNow enqueues an op without a cancellation boundary and returns its
-// reply channel. It is context-free on purpose: its callers (phase-2
-// release, stats snapshots) must run to completion to keep the engine's
-// invariants.
-func (s *shard) sendNow(o op) chan reply {
-	o.reply = replyPool.Get().(chan reply)
-	s.ops <- o
-	return o.reply
-}
-
-// call enqueues an op without a cancellation boundary and waits for the
-// reply.
-func (s *shard) call(o op) reply { return recvReply(s.sendNow(o)) }
-
-// loop is the shard's event loop: drain a batch of queued operations, decide
-// each in arrival order, answer on the per-op reply channels. It exits when
-// the ops channel is closed, leaving the final snapshot behind.
-func (s *shard) loop() {
-	for o := range s.ops {
-		s.batch = append(s.batch[:0], o)
-	drain:
-		for len(s.batch) < s.batchSize {
-			select {
-			case next, open := <-s.ops:
-				if !open {
-					break drain
-				}
-				s.batch = append(s.batch, next)
-			default:
-				break drain
-			}
-		}
-		for _, o := range s.batch {
-			o.reply <- s.handle(o)
-		}
-	}
-	s.final = s.snapshot()
+	alg       *core.Randomized
+	reserved  []int // per local edge: granted cross-shard reservations
+	committed []int // per local edge: committed (permanent) reservations
+	reqGlobal []int // local request ID -> global request ID
 }
 
 // handle decides one operation.

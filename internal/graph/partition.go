@@ -123,3 +123,51 @@ func PartitionRange(m, k int) ([][]int, error) {
 	}
 	return parts, nil
 }
+
+// ResolvePartition returns the partition of [0, n) an engine runs on:
+// parts when set, else PartitionRange(n, k) with k ≤ 0 read as 1. Either
+// way the result must be an exact, non-empty cover of [0, n) — every index
+// in exactly one non-empty shard — or an error is returned.
+func ResolvePartition(parts [][]int, n, k int) ([][]int, error) {
+	if parts == nil {
+		var err error
+		if parts, err = PartitionRange(n, max(k, 1)); err != nil {
+			return nil, err
+		}
+	}
+	if err := checkPartition(parts, n); err != nil {
+		return nil, err
+	}
+	return parts, nil
+}
+
+// checkPartition verifies parts is an exact, non-empty cover of [0, n).
+func checkPartition(parts [][]int, n int) error {
+	if len(parts) == 0 {
+		return fmt.Errorf("graph: empty partition")
+	}
+	owner := make([]int, n)
+	for i := range owner {
+		owner[i] = -1
+	}
+	for si, part := range parts {
+		if len(part) == 0 {
+			return fmt.Errorf("graph: partition shard %d is empty", si)
+		}
+		for _, x := range part {
+			if x < 0 || x >= n {
+				return fmt.Errorf("graph: partition shard %d references %d, outside [0,%d)", si, x, n)
+			}
+			if owner[x] != -1 {
+				return fmt.Errorf("graph: %d in both partition shard %d and shard %d", x, owner[x], si)
+			}
+			owner[x] = si
+		}
+	}
+	for x, s := range owner {
+		if s == -1 {
+			return fmt.Errorf("graph: %d missing from partition", x)
+		}
+	}
+	return nil
+}

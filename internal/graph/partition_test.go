@@ -153,3 +153,33 @@ func TestPartitionRange(t *testing.T) {
 		t.Fatal("k=0: want error")
 	}
 }
+
+// TestResolvePartition covers the engines' partition resolver: the range
+// default (k ≤ 0 read as 1, k > n clamped), a valid explicit partition
+// passed through, and every way an explicit one can fail to be an exact
+// cover.
+func TestResolvePartition(t *testing.T) {
+	if parts, err := ResolvePartition(nil, 3, 0); err != nil || len(parts) != 1 {
+		t.Fatalf("default k=0: %v, %v", parts, err)
+	}
+	if parts, err := ResolvePartition(nil, 2, 16); err != nil || len(parts) != 2 {
+		t.Fatalf("default k>n: %v, %v", parts, err)
+	}
+	if _, err := ResolvePartition(nil, 0, 1); err == nil {
+		t.Fatal("n=0: want error")
+	}
+	if parts, err := ResolvePartition([][]int{{1}, {0}}, 2, 0); err != nil || parts[0][0] != 1 {
+		t.Fatalf("explicit partition: %v, %v", parts, err)
+	}
+	for name, parts := range map[string][][]int{
+		"no shards":    {},
+		"empty shard":  {{0, 1}, {}},
+		"duplicate":    {{0, 1}, {1}},
+		"missing":      {{0}},
+		"out of range": {{0, 1}, {7}},
+	} {
+		if _, err := ResolvePartition(parts, 2, 0); err == nil {
+			t.Errorf("%s: want error", name)
+		}
+	}
+}

@@ -194,9 +194,7 @@ type Engine struct {
 	workers int
 	depth   int
 	sema    chan struct{}
-
-	closed   atomic.Bool
-	inflight atomic.Int64
+	gate    service.Gate
 
 	requests atomic.Int64
 	accepted atomic.Int64
@@ -277,20 +275,6 @@ func (e *Engine) Validate(q Query) error {
 	return nil
 }
 
-// enter registers a caller on the query path; false once closed. The
-// counter-then-flag order pairs with Close's flag-then-drain order.
-func (e *Engine) enter() bool {
-	e.inflight.Add(1)
-	if e.closed.Load() {
-		e.inflight.Add(-1)
-		return false
-	}
-	return true
-}
-
-// exit balances enter.
-func (e *Engine) exit() { e.inflight.Add(-1) }
-
 // account folds one computed answer into the engine's statistics.
 func (e *Engine) account(a *Answer) {
 	e.requests.Add(1)
@@ -318,10 +302,10 @@ func (e *Engine) compute(q Query) Answer {
 // per-query replay failure is returned as the error (mirroring the
 // streaming engines' Submit).
 func (e *Engine) Submit(ctx context.Context, q Query) (Answer, error) {
-	if !e.enter() {
+	if !e.gate.Enter() {
 		return Answer{}, ErrClosed
 	}
-	defer e.exit()
+	defer e.gate.Exit()
 	if err := e.Validate(q); err != nil {
 		return Answer{}, err
 	}
@@ -351,10 +335,10 @@ func (e *Engine) SubmitBatchPrevalidated(ctx context.Context, qs []Query) ([]Ans
 	if len(qs) == 0 {
 		return nil, nil
 	}
-	if !e.enter() {
+	if !e.gate.Enter() {
 		return nil, ErrClosed
 	}
-	defer e.exit()
+	defer e.gate.Exit()
 	out := make([]Answer, len(qs))
 	workers := e.workers
 	if workers > len(qs) {
@@ -393,7 +377,7 @@ func (e *Engine) SubmitBatchPrevalidated(ctx context.Context, qs []Query) ([]Ans
 // to the worker pool without waiting for earlier answers, Recv yields
 // answers in send order.
 func (e *Engine) Stream(ctx context.Context) (*service.Stream[Query, Answer], error) {
-	if e.closed.Load() {
+	if e.gate.Closed() {
 		return nil, ErrClosed
 	}
 	return service.NewStream(ctx, e.depth, e.dispatch), nil
@@ -403,16 +387,16 @@ func (e *Engine) Stream(ctx context.Context) (*service.Stream[Query, Answer], er
 // its answer. The computation (and its accounting) always completes even
 // if the caller stops waiting — cancellation bounds the wait only.
 func (e *Engine) dispatch(ctx context.Context, q Query) (service.Await[Answer], error) {
-	if !e.enter() {
+	if !e.gate.Enter() {
 		return nil, ErrClosed
 	}
 	if err := e.Validate(q); err != nil {
-		e.exit()
+		e.gate.Exit()
 		return nil, err
 	}
 	ch := make(chan Answer, 1)
 	go func() {
-		defer e.exit()
+		defer e.gate.Exit()
 		ch <- e.compute(q)
 	}()
 	return func(ctx context.Context) (Answer, error) {
@@ -446,20 +430,13 @@ func (e *Engine) Stats() service.Stats {
 }
 
 // Drain blocks until no queries are in flight or ctx is done.
-func (e *Engine) Drain(ctx context.Context) error {
-	return service.PollIdle(ctx, func() bool { return e.inflight.Load() == 0 })
-}
+func (e *Engine) Drain(ctx context.Context) error { return e.gate.Drain(ctx) }
 
 // Close shuts the engine down: subsequent submissions fail with ErrClosed,
 // in-flight queries finish, and statistics remain readable (and exact)
 // afterwards. Close is idempotent.
 func (e *Engine) Close() error {
-	if e.closed.Swap(true) {
-		return nil
-	}
-	for e.inflight.Load() != 0 {
-		runtime.Gosched()
-	}
+	e.gate.Close(nil)
 	return nil
 }
 

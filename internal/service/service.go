@@ -13,6 +13,11 @@
 // query→decision oracle, and the serving question (batching, pipelining,
 // cancellation, observability) is the same for all of them.
 //
+// Below the contract the same question is answered once more: both
+// streaming engines run on one shard runtime (Shards — event loops,
+// pooled replies, cancellation hand-off, snapshots) behind one lifecycle
+// gate (Gate), which the query tier shares.
+//
 // Concurrency contract: a Service's Submit, SubmitBatch, Stream, Validate
 // and Stats are safe for concurrent use by any number of goroutines.
 // Context cancellation is honoured at blocking boundaries (enqueueing into

@@ -6,37 +6,42 @@ import (
 	"testing"
 )
 
-// TestDrainTracker covers the background-goroutine accounting both
-// engines' Drain/Close rely on: Go tracks, Idle observes, Wait and
-// PollIdle converge once the tracked work finishes.
+// TestDrainTracker covers the gate's background-drainer accounting that
+// both engines' Drain/Close rely on: Go tracks, Drain waits the drainer
+// out (or gives up with ctx), and a closed gate refuses Enter.
 func TestDrainTracker(t *testing.T) {
-	var tr DrainTracker
-	if !tr.Idle() {
-		t.Fatal("fresh tracker not idle")
+	var g Gate
+	if !g.idle() {
+		t.Fatal("fresh gate not idle")
 	}
 	release := make(chan struct{})
 	started := make(chan struct{})
-	tr.Go(func() {
+	g.Go(func() {
 		close(started)
 		<-release
 	})
 	<-started
-	if tr.Idle() {
-		t.Fatal("tracker idle while a goroutine is running")
+	if g.idle() {
+		t.Fatal("gate idle while a drainer is running")
 	}
-	close(release)
-	tr.Wait()
-	if !tr.Idle() {
-		t.Fatal("tracker not idle after Wait")
-	}
-	if err := PollIdle(context.Background(), tr.Idle); err != nil {
-		t.Fatal(err)
-	}
-	// PollIdle must give up when the context dies before idleness.
+	// Drain must give up when the context dies before idleness.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := PollIdle(ctx, func() bool { return false }); !errors.Is(err, context.Canceled) {
-		t.Fatalf("PollIdle on a dead context: %v, want context.Canceled", err)
+	if err := g.Drain(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Drain on a dead context: %v, want context.Canceled", err)
+	}
+	close(release)
+	if err := g.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if !g.Enter() {
+		t.Fatal("open gate refused Enter")
+	}
+	g.Exit()
+	g.Close(nil)
+	g.Close(nil) // idempotent
+	if g.Enter() || !g.Closed() {
+		t.Fatal("closed gate admitted a caller")
 	}
 }
 
@@ -46,12 +51,12 @@ func TestDrainTracker(t *testing.T) {
 func TestTrySend(t *testing.T) {
 	ctx := context.Background()
 	ch := make(chan int, 1)
-	if err := TrySend(ctx, ch, 1); err != nil {
+	if err := trySend(ctx, ch, 1); err != nil {
 		t.Fatal(err)
 	}
 	// Queue now full: a concurrent consumer unblocks the slow path.
 	done := make(chan error, 1)
-	go func() { done <- TrySend(ctx, ch, 2) }()
+	go func() { done <- trySend(ctx, ch, 2) }()
 	if got := <-ch; got != 1 {
 		t.Fatalf("dequeued %d, want 1", got)
 	}
@@ -61,7 +66,7 @@ func TestTrySend(t *testing.T) {
 	// Full queue and a dead context: the send must fail, not block.
 	dead, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := TrySend(dead, ch, 3); !errors.Is(err, context.Canceled) {
-		t.Fatalf("TrySend on a full queue with a dead context: %v, want context.Canceled", err)
+	if err := trySend(dead, ch, 3); !errors.Is(err, context.Canceled) {
+		t.Fatalf("trySend on a full queue with a dead context: %v, want context.Canceled", err)
 	}
 }
