@@ -254,13 +254,10 @@ func (e *Engine) Submit(ctx context.Context, r problem.Request) (Decision, error
 	// Fast path: all edges in one shard (the common case under a locality
 	// partition) — one local slice, no map.
 	if single := e.singleShardOf(r.Edges); single >= 0 {
-		buf := e.localizeEdges(r.Edges)
-		ch, err := e.rt.Send(ctx, single, op{kind: opOffer, globalID: id, edges: *buf, cost: r.Cost})
+		ch, buf, err := e.sendOffer(ctx, single, id, r)
 		if err != nil {
-			edgeBufPool.Put(buf)
 			return Decision{}, err
 		}
-		e.requests.Add(1)
 		return e.awaitLocal(ctx, id, ch, buf)
 	}
 	return e.submitCross(ctx, id, e.groupByShard(r.Edges), r.Cost)
@@ -276,6 +273,20 @@ func (e *Engine) singleShardOf(edges []int) int {
 		}
 	}
 	return single
+}
+
+// sendOffer enqueues a single-shard request on its owning shard and counts
+// it. The op carries the request's edges localized into a pooled buffer,
+// which the receiver of the reply returns to edgeBufPool.
+func (e *Engine) sendOffer(ctx context.Context, shard, id int, r problem.Request) (chan reply, *[]int, error) {
+	buf := e.localizeEdges(r.Edges)
+	ch, err := e.rt.Send(ctx, shard, op{kind: opOffer, globalID: id, edges: *buf, cost: r.Cost})
+	if err != nil {
+		edgeBufPool.Put(buf)
+		return nil, nil, err
+	}
+	e.requests.Add(1)
+	return ch, buf, nil
 }
 
 // localizeEdges fills a pooled scratch slice with the shard-local indices
@@ -474,14 +485,11 @@ func (e *Engine) SubmitBatchPrevalidated(ctx context.Context, reqs []problem.Req
 		out[i].ID = id
 
 		if single := e.singleShardOf(r.Edges); single >= 0 {
-			buf := e.localizeEdges(r.Edges)
-			ch, err := e.rt.Send(ctx, single, op{kind: opOffer, globalID: id, edges: *buf, cost: r.Cost})
+			ch, buf, err := e.sendOffer(ctx, single, id, r)
 			if err != nil {
-				edgeBufPool.Put(buf)
 				drainPend(pend)
 				return nil, err
 			}
-			e.requests.Add(1)
 			pend = append(pend, pendingOffer{idx: i, ch: ch, buf: buf})
 			continue
 		}
@@ -544,13 +552,10 @@ func (e *Engine) dispatch(ctx context.Context, r problem.Request) (service.Await
 	}
 	id := int(e.nextID.Add(1) - 1)
 	if single := e.singleShardOf(r.Edges); single >= 0 {
-		buf := e.localizeEdges(r.Edges)
-		ch, err := e.rt.Send(ctx, single, op{kind: opOffer, globalID: id, edges: *buf, cost: r.Cost})
+		ch, buf, err := e.sendOffer(ctx, single, id, r)
 		if err != nil {
-			edgeBufPool.Put(buf)
 			return nil, err
 		}
-		e.requests.Add(1)
 		return func(ctx context.Context) (Decision, error) {
 			d, err := e.awaitLocal(ctx, id, ch, buf)
 			// Per-request engine failures travel on the decision (like the
