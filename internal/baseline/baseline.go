@@ -108,6 +108,7 @@ const (
 	VictimRandom
 )
 
+// String names the policy as the experiment tables print it.
 func (p VictimPolicy) String() string {
 	switch p {
 	case VictimCheapest:

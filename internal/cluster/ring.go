@@ -3,6 +3,8 @@ package cluster
 import (
 	"fmt"
 	"sort"
+
+	"admission/internal/service"
 )
 
 // DefaultVnodes is the default number of virtual nodes per backend on the
@@ -28,23 +30,19 @@ type Ring struct {
 	owned    [][]int // backend -> sorted owned global edges
 }
 
-// ringHash is FNV-1a over fixed-width words with a finalizer, matching
-// the determinism requirements of the engine's digests: no seed, no
-// platform dependence. The splitmix64 finalizer matters here: raw FNV of
-// short small-integer inputs clusters on the ring badly enough to leave
-// backends empty at realistic sizes.
+// ringHash is the shared FNV-1a word hash (service.Hash) with a
+// splitmix64 finalizer: no seed, no platform dependence. The finalizer
+// matters here: raw FNV of short small-integer inputs clusters on the ring
+// badly enough to leave backends empty at realistic sizes.
 func ringHash(words ...uint64) uint64 {
-	h := uint64(14695981039346656037)
+	h := service.NewHash()
 	for _, w := range words {
-		for i := 0; i < 8; i++ {
-			h ^= w & 0xff
-			h *= 1099511628211
-			w >>= 8
-		}
+		h.Word(w)
 	}
-	h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9
-	h = (h ^ (h >> 27)) * 0x94d049bb133111eb
-	return h ^ (h >> 31)
+	x := h.Sum()
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
 }
 
 // NewRing partitions m global edges over the given number of backends with

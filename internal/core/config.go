@@ -41,6 +41,7 @@ const (
 	AlphaOracle
 )
 
+// String names the α-guessing mode as reports print it.
 func (m AlphaMode) String() string {
 	switch m {
 	case AlphaDoubling:

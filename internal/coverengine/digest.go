@@ -2,31 +2,9 @@ package coverengine
 
 import (
 	"fmt"
-	"math"
+
+	"admission/internal/service"
 )
-
-// fnv64 accumulates a deterministic FNV-1a digest over fixed-width words:
-// every input is widened to eight bytes so the digest is a pure function
-// of the mixed values.
-type fnv64 uint64
-
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
-
-func (h *fnv64) word(v uint64) {
-	x := uint64(*h)
-	for i := 0; i < 8; i++ {
-		x ^= v & 0xff
-		x *= fnvPrime
-		v >>= 8
-	}
-	*h = fnv64(x)
-}
-
-func (h *fnv64) int(v int)       { h.word(uint64(int64(v))) }
-func (h *fnv64) float(v float64) { h.word(math.Float64bits(v)) }
 
 // Fingerprint identifies the cover engine's configuration for the
 // durability layer (internal/wal): the set system, element partition,
@@ -34,47 +12,30 @@ func (h *fnv64) float(v float64) { h.word(math.Float64bits(v)) }
 // replayable only into an engine that matches on every one of them.
 // wal.Open refuses a log whose stored fingerprint differs.
 func (e *Engine) Fingerprint() string {
-	var h fnv64 = fnvOffset
-	h.int(e.ins.N)
-	h.int(e.ins.M())
+	h := service.NewHash()
+	h.Int(e.ins.N)
+	h.Int(e.ins.M())
 	for id, set := range e.ins.Sets {
-		h.float(e.ins.Cost(id))
-		h.int(len(set))
+		h.Float(e.ins.Cost(id))
+		h.Int(len(set))
 		for _, el := range set {
-			h.int(el)
+			h.Int(el)
 		}
 	}
-	h.int(e.rt.Len())
+	h.Int(e.rt.Len())
 	for _, s := range e.elemShard {
-		h.int(int(s))
+		h.Int(int(s))
 	}
-	h.int(int(e.mode))
-	h.word(e.seed)
-	h.float(e.eps)
+	h.Int(int(e.mode))
+	h.Word(e.seed)
+	h.Float(e.eps)
 	if e.coreCfg != nil {
-		cfg := *e.coreCfg
-		h.word(1)
-		if cfg.Unweighted {
-			h.word(1)
-		} else {
-			h.word(0)
-		}
-		h.float(cfg.LogBase)
-		h.float(cfg.ThresholdFactor)
-		h.float(cfg.ProbFactor)
-		h.int(int(cfg.AlphaMode))
-		h.float(cfg.Alpha)
-		h.float(cfg.DoublingBudgetFactor)
-		if cfg.DisableReqPruning {
-			h.word(1)
-		} else {
-			h.word(0)
-		}
-		h.word(cfg.Seed)
+		h.Word(1)
+		h.Config(*e.coreCfg)
 	} else {
-		h.word(0)
+		h.Word(0)
 	}
-	return fmt.Sprintf("cover/v1 n=%d m=%d k=%d mode=%v seed=%d cfg=%016x", e.ins.N, e.ins.M(), e.rt.Len(), e.mode, e.seed, uint64(h))
+	return fmt.Sprintf("cover/v1 n=%d m=%d k=%d mode=%v seed=%d cfg=%016x", e.ins.N, e.ins.M(), e.rt.Len(), e.mode, e.seed, h.Sum())
 }
 
 // StateDigest returns a deterministic digest of the cover engine's
@@ -85,27 +46,23 @@ func (e *Engine) Fingerprint() string {
 // after recovery replay. Meaningful only at a quiescent point (no
 // arrivals in flight).
 func (e *Engine) StateDigest() uint64 {
-	var h fnv64 = fnvOffset
-	h.int(e.rt.Len())
-	h.word(uint64(e.seq.Load()))
-	h.word(uint64(e.arrivals.Load()))
-	h.word(uint64(e.errs.Load()))
+	h := service.NewHash()
+	h.Int(e.rt.Len())
+	h.Word(uint64(e.seq.Load()))
+	h.Word(uint64(e.arrivals.Load()))
+	h.Word(uint64(e.errs.Load()))
 	e.mu.Lock()
-	h.int(e.chosenCount)
-	h.float(e.cost)
+	h.Int(e.chosenCount)
+	h.Float(e.cost)
 	for _, c := range e.chosen {
-		if c {
-			h.word(1)
-		} else {
-			h.word(0)
-		}
+		h.Bool(c)
 	}
 	e.mu.Unlock()
 	for _, snap := range e.snapshots() {
-		h.int(snap.arrivals)
-		h.int(snap.preemptions)
-		h.int(snap.augmentations)
-		h.word(snap.countDigest)
+		h.Int(snap.arrivals)
+		h.Int(snap.preemptions)
+		h.Int(snap.augmentations)
+		h.Word(snap.countDigest)
 	}
-	return uint64(h)
+	return h.Sum()
 }

@@ -219,10 +219,10 @@ func (s *shard) snapshot() shardSnapshot {
 	if s.bic != nil {
 		snap.augmentations = s.bic.Augmentations()
 	}
-	var h fnv64 = fnvOffset
+	h := service.NewHash()
 	for _, c := range s.count {
-		h.int(c)
+		h.Int(c)
 	}
-	snap.countDigest = uint64(h)
+	snap.countDigest = h.Sum()
 	return snap
 }

@@ -6,6 +6,7 @@ import (
 
 	"admission/internal/core"
 	"admission/internal/graph"
+	"admission/internal/service"
 )
 
 // This file is the engine's face toward the cluster tier (DESIGN.md §14):
@@ -139,23 +140,15 @@ func ConfigFingerprint(capacities []int, cfg Config) (string, error) {
 // fingerprintOf is the shared digest behind Fingerprint and
 // ConfigFingerprint.
 func fingerprintOf(caps []int, numShards int, edgeShard []int32, cfg core.Config) string {
-	var h fnv64 = fnvOffset
-	h.int(len(caps))
+	h := service.NewHash()
+	h.Int(len(caps))
 	for _, c := range caps {
-		h.int(c)
+		h.Int(c)
 	}
-	h.int(numShards)
+	h.Int(numShards)
 	for _, s := range edgeShard {
-		h.int(int(s))
+		h.Int(int(s))
 	}
-	h.bool(cfg.Unweighted)
-	h.float(cfg.LogBase)
-	h.float(cfg.ThresholdFactor)
-	h.float(cfg.ProbFactor)
-	h.int(int(cfg.AlphaMode))
-	h.float(cfg.Alpha)
-	h.float(cfg.DoublingBudgetFactor)
-	h.bool(cfg.DisableReqPruning)
-	h.word(cfg.Seed)
-	return fmt.Sprintf("admission/v1 m=%d k=%d seed=%d cfg=%016x", len(caps), numShards, cfg.Seed, uint64(h))
+	h.Config(cfg)
+	return fmt.Sprintf("admission/v1 m=%d k=%d seed=%d cfg=%016x", len(caps), numShards, cfg.Seed, h.Sum())
 }

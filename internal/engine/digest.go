@@ -1,37 +1,6 @@
 package engine
 
-import "math"
-
-// fnv64 accumulates a deterministic FNV-1a digest over fixed-width words.
-// It backs the durability layer's state verification (StateDigest,
-// Fingerprint): the digest must be a pure function of the mixed values, so
-// every input is widened to exactly eight bytes before hashing.
-type fnv64 uint64
-
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
-
-func (h *fnv64) word(v uint64) {
-	x := uint64(*h)
-	for i := 0; i < 8; i++ {
-		x ^= v & 0xff
-		x *= fnvPrime
-		v >>= 8
-	}
-	*h = fnv64(x)
-}
-
-func (h *fnv64) int(v int)       { h.word(uint64(int64(v))) }
-func (h *fnv64) float(v float64) { h.word(math.Float64bits(v)) }
-func (h *fnv64) bool(v bool) {
-	if v {
-		h.word(1)
-	} else {
-		h.word(0)
-	}
-}
+import "admission/internal/service"
 
 // Fingerprint identifies the engine's configuration for the durability
 // layer (internal/wal): a decision log records the history of one exact
@@ -58,24 +27,24 @@ func (e *Engine) Fingerprint() string {
 // submissions in flight), where the same consistency caveats as Stats
 // vanish.
 func (e *Engine) StateDigest() uint64 {
-	var h fnv64 = fnvOffset
-	h.int(e.rt.Len())
-	h.word(uint64(e.requests.Load()))
-	h.word(uint64(e.accepted.Load()))
-	h.word(uint64(e.crossShard.Load()))
-	h.word(uint64(e.crossAccepted.Load()))
-	h.float(e.crossRejected.Load())
+	h := service.NewHash()
+	h.Int(e.rt.Len())
+	h.Word(uint64(e.requests.Load()))
+	h.Word(uint64(e.accepted.Load()))
+	h.Word(uint64(e.crossShard.Load()))
+	h.Word(uint64(e.crossAccepted.Load()))
+	h.Float(e.crossRejected.Load())
 	for _, snap := range e.snapshots() {
-		h.int(snap.requests)
-		h.int(snap.preemptions)
-		h.float(snap.rejectedCost)
-		h.int(len(snap.loads))
+		h.Int(snap.requests)
+		h.Int(snap.preemptions)
+		h.Float(snap.rejectedCost)
+		h.Int(len(snap.loads))
 		for _, load := range snap.loads {
-			h.int(load)
+			h.Int(load)
 		}
 		for _, c := range snap.caps {
-			h.int(c)
+			h.Int(c)
 		}
 	}
-	return uint64(h)
+	return h.Sum()
 }

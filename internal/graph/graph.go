@@ -120,41 +120,6 @@ func (g *Graph) OutEdges(v int) []EdgeID {
 // ErrNoPath is returned by path searches when the target is unreachable.
 var ErrNoPath = errors.New("graph: no path")
 
-// ShortestPath returns the edge IDs of a BFS shortest path from s to t.
-// An empty (nil) path is returned when s == t.
-func (g *Graph) ShortestPath(s, t int) ([]EdgeID, error) {
-	if s < 0 || s >= g.n || t < 0 || t >= g.n {
-		return nil, fmt.Errorf("graph: path endpoints (%d,%d) outside vertex range", s, t)
-	}
-	if s == t {
-		return nil, nil
-	}
-	prevEdge := make([]EdgeID, g.n)
-	for i := range prevEdge {
-		prevEdge[i] = -1
-	}
-	visited := make([]bool, g.n)
-	visited[s] = true
-	queue := []int{s}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, id := range g.out[v] {
-			w := g.edges[id].To
-			if visited[w] {
-				continue
-			}
-			visited[w] = true
-			prevEdge[w] = id
-			if w == t {
-				return g.walkBack(s, t, prevEdge), nil
-			}
-			queue = append(queue, w)
-		}
-	}
-	return nil, ErrNoPath
-}
-
 // walkBack reconstructs a path from the BFS predecessor-edge array.
 func (g *Graph) walkBack(s, t int, prevEdge []EdgeID) []EdgeID {
 	var rev []EdgeID
@@ -235,24 +200,6 @@ func (g *Graph) IsSimplePath(ids []EdgeID) bool {
 		seen[e.To] = true
 	}
 	return true
-}
-
-// DOT renders the graph in Graphviz dot format, labelling each edge with
-// its ID and capacity. Intended for documentation and debugging of small
-// topologies.
-func (g *Graph) DOT(name string) string {
-	var b []byte
-	b = append(b, "digraph "...)
-	if name == "" {
-		name = "G"
-	}
-	b = append(b, name...)
-	b = append(b, " {\n"...)
-	for id, e := range g.edges {
-		b = append(b, fmt.Sprintf("  %d -> %d [label=\"e%d c=%d\"];\n", e.From, e.To, id, e.Capacity)...)
-	}
-	b = append(b, "}\n"...)
-	return string(b)
 }
 
 // Validate checks structural invariants and returns a descriptive error for

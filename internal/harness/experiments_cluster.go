@@ -1,18 +1,11 @@
 package harness
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
-	"os/exec"
-	"os/signal"
-	"strconv"
-	"strings"
-	"syscall"
 	"time"
 
 	"admission/internal/cluster"
@@ -65,20 +58,7 @@ func init() {
 	)
 }
 
-// Environment contract between the E19 parent and its re-executed durable
-// backend child.
 const (
-	// E19ChildEnv marks the process as an E19 durable-backend child; main
-	// functions that may host the experiment check it and call
-	// RunE19Child.
-	E19ChildEnv     = "ACBENCH_E19_CHILD"
-	e19DirEnv       = "ACBENCH_E19_DIR"
-	e19AddrEnv      = "ACBENCH_E19_ADDR"
-	e19SeedEnv      = "ACBENCH_E19_SEED"
-	e19EdgesEnv     = "ACBENCH_E19_EDGES"
-	e19BackendsEnv  = "ACBENCH_E19_BACKENDS"
-	e19IndexEnv     = "ACBENCH_E19_INDEX"
-	e19SnapEnv      = "ACBENCH_E19_SNAP"
 	e19ClusterSize  = 3
 	e19Capacity     = 4
 	e19Batch        = 256
@@ -120,216 +100,88 @@ func e19Policy() cluster.RetryPolicy {
 	return cluster.RetryPolicy{MaxAttempts: 2, BaseDelay: 2 * time.Millisecond, MaxDelay: 20 * time.Millisecond}
 }
 
-// RunE19Child is the body of the E19 child process: a durable cluster
-// backend for one ring partition on a fixed loopback address (fixed so a
-// restarted incarnation is reachable through the same router client). It
-// recovers whatever the WAL directory holds — recovery replays the log
-// into a fresh backend and verifies every regenerated decision against
-// the logged one, so the child coming up at all certifies
-// decision-identical recovery — prints one READY line with its address
-// and recovered count, serves until SIGTERM (snapshotting on the way
-// out), and never returns. Main functions hosting the experiment must
-// call it when E19ChildEnv is set.
-func RunE19Child() {
-	die := func(err error) {
-		fmt.Fprintln(os.Stderr, "e19-child:", err)
-		os.Exit(1)
-	}
-	seed, err := strconv.ParseUint(os.Getenv(e19SeedEnv), 10, 64)
+// e19Durable is the E19 child body: a durable cluster backend for one
+// ring partition on a fixed loopback address (fixed so a restarted
+// incarnation is reachable through the same router client). Recovery
+// replays the log into a fresh backend and verifies every regenerated
+// decision against the logged one, so the child coming up at all
+// certifies decision-identical recovery.
+func e19Durable(spec childSpec) (durable, error) {
+	ins, err := e19Instance(spec.Seed, spec.Edges)
 	if err != nil {
-		die(fmt.Errorf("bad %s: %w", e19SeedEnv, err))
+		return durable{}, err
 	}
-	m, err := strconv.Atoi(os.Getenv(e19EdgesEnv))
+	ring, err := cluster.NewRing(spec.Edges, e19ClusterSize, 0)
 	if err != nil {
-		die(fmt.Errorf("bad %s: %w", e19EdgesEnv, err))
+		return durable{}, err
 	}
-	backends, err := strconv.Atoi(os.Getenv(e19BackendsEnv))
+	bcaps, err := ring.Caps(ins.Capacities, spec.Index)
 	if err != nil {
-		die(fmt.Errorf("bad %s: %w", e19BackendsEnv, err))
+		return durable{}, err
 	}
-	index, err := strconv.Atoi(os.Getenv(e19IndexEnv))
+	be, err := cluster.NewBackend(bcaps, cluster.BackendConfig{Engine: e19EngineConfig(spec.Seed)})
 	if err != nil {
-		die(fmt.Errorf("bad %s: %w", e19IndexEnv, err))
+		return durable{}, err
 	}
-	snapEvery, err := strconv.ParseInt(os.Getenv(e19SnapEnv), 10, 64)
+	log, err := wal.Open(spec.Dir, wal.Options{Kind: wal.KindCluster, Fingerprint: be.Fingerprint()})
 	if err != nil {
-		die(fmt.Errorf("bad %s: %w", e19SnapEnv, err))
-	}
-	dir, addr := os.Getenv(e19DirEnv), os.Getenv(e19AddrEnv)
-	if dir == "" || addr == "" {
-		die(fmt.Errorf("empty %s or %s", e19DirEnv, e19AddrEnv))
-	}
-
-	ins, err := e19Instance(seed, m)
-	if err != nil {
-		die(err)
-	}
-	ring, err := cluster.NewRing(m, backends, 0)
-	if err != nil {
-		die(err)
-	}
-	bcaps, err := ring.Caps(ins.Capacities, index)
-	if err != nil {
-		die(err)
-	}
-	be, err := cluster.NewBackend(bcaps, cluster.BackendConfig{Engine: e19EngineConfig(seed)})
-	if err != nil {
-		die(err)
-	}
-	log, err := wal.Open(dir, wal.Options{Kind: wal.KindCluster, Fingerprint: be.Fingerprint()})
-	if err != nil {
-		die(err)
+		return durable{}, err
 	}
 	info, err := server.RecoverCluster(log, be)
 	if err != nil {
-		die(err)
+		return durable{}, err
 	}
-	srv, err := server.New(server.Config{FlushInterval: e19Flush},
-		server.ClusterBackendDurable(be, log, server.DurableOptions{SnapshotEvery: snapEvery, Replay: info}))
-	if err != nil {
-		die(err)
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		die(err)
-	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
-	go func() { _ = httpSrv.Serve(ln) }()
-
-	// The parent parses this line; keep the format in sync with
-	// spawnE19Child.
-	fmt.Printf("E19-CHILD READY addr=%s recovered=%d\n", ln.Addr().String(), log.NextSeq())
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGTERM)
-	<-sig
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	_ = httpSrv.Shutdown(ctx)
-	if err := srv.Drain(ctx); err != nil {
-		die(err)
-	}
-	if log.RecordsSinceSnapshot() > 0 {
-		if err := log.WriteSnapshot(be.StateDigest()); err != nil {
-			die(err)
-		}
-	}
-	if err := log.Close(); err != nil {
-		die(err)
-	}
-	be.Close()
-	os.Exit(0)
+	return durable{
+		cfg:    server.Config{FlushInterval: e19Flush},
+		reg:    server.ClusterBackendDurable(be, log, server.DurableOptions{SnapshotEvery: spec.SnapEvery, Replay: info}),
+		log:    log,
+		digest: be.StateDigest,
+		close:  func() { be.Close() },
+	}, nil
 }
 
-// e19Child is the parent's handle on one durable-backend incarnation.
-type e19Child struct {
-	cmd       *exec.Cmd
-	addr      string
-	recovered int64
-}
-
-// spawnE19Child re-executes the current binary as a durable cluster
-// backend for ring partition index and waits for its READY line.
-func spawnE19Child(dir, addr string, seed uint64, m, index int, snapEvery int64) (*e19Child, error) {
-	exe, err := os.Executable()
-	if err != nil {
-		return nil, err
-	}
-	cmd := exec.Command(exe)
-	cmd.Env = append(os.Environ(),
-		E19ChildEnv+"=1",
-		e19DirEnv+"="+dir,
-		e19AddrEnv+"="+addr,
-		e19SeedEnv+"="+strconv.FormatUint(seed, 10),
-		e19EdgesEnv+"="+strconv.Itoa(m),
-		e19BackendsEnv+"="+strconv.Itoa(e19ClusterSize),
-		e19IndexEnv+"="+strconv.Itoa(index),
-		e19SnapEnv+"="+strconv.FormatInt(snapEvery, 10),
-	)
-	cmd.Stderr = os.Stderr
-	out, err := cmd.StdoutPipe()
-	if err != nil {
-		return nil, err
-	}
-	if err := cmd.Start(); err != nil {
-		return nil, err
-	}
-	ready := make(chan *e19Child, 1)
-	scanErr := make(chan error, 1)
-	go func() {
-		sc := bufio.NewScanner(out)
-		for sc.Scan() {
-			line := sc.Text()
-			if !strings.HasPrefix(line, "E19-CHILD READY ") {
-				continue
-			}
-			c := &e19Child{cmd: cmd}
-			if _, err := fmt.Sscanf(line, "E19-CHILD READY addr=%s recovered=%d", &c.addr, &c.recovered); err != nil {
-				scanErr <- fmt.Errorf("E19: unparsable READY line %q: %w", line, err)
-				return
-			}
-			ready <- c
-			return
-		}
-		scanErr <- fmt.Errorf("E19: child exited without a READY line (is the RunE19Child hook installed in this binary's main?): %v", sc.Err())
-	}()
-	select {
-	case c := <-ready:
-		return c, nil
-	case err := <-scanErr:
-		_ = cmd.Process.Kill()
-		_ = cmd.Wait()
-		return nil, err
-	case <-time.After(60 * time.Second):
-		_ = cmd.Process.Kill()
-		_ = cmd.Wait()
-		return nil, fmt.Errorf("E19: child did not become ready within 60s")
-	}
-}
-
-// e19Cluster is an in-process cluster topology: n partitioned backends
-// each behind its own loopback HTTP server, a router over cluster clients
-// to all of them, and the router itself mounted behind an acrouter-style
-// loopback server.
+// e19Cluster is a cluster topology: n partitioned backends each behind its
+// own loopback HTTP server (or out of process, see e19StartCluster), a
+// router over cluster clients to all of them, and the router itself
+// mounted behind an acrouter-style loopback server.
 type e19Cluster struct {
 	ring     *cluster.Ring
-	backends []*cluster.Backend
+	backends []*cluster.Backend // nil for an out-of-process backend
 	clients  []*cluster.Client
 	router   *cluster.Router
 	base     string // router server base URL
-	closers  []func()
+	closers  []func() error
 }
 
-func (c *e19Cluster) close() {
+// close stops everything in reverse start order — each server drains
+// before its listener closes — and returns every drain error.
+func (c *e19Cluster) close() error {
+	var errs []error
 	for i := len(c.closers) - 1; i >= 0; i-- {
-		c.closers[i]()
+		errs = append(errs, c.closers[i]())
 	}
+	c.closers = nil
+	return errors.Join(errs...)
 }
 
-// e19StartCluster stands the whole in-process topology up and waits for
-// the router to verify every backend fingerprint.
-func e19StartCluster(caps []int, ecfg engine.Config, n int) (*e19Cluster, error) {
+// e19StartCluster stands the topology up and waits for the router to
+// verify every backend fingerprint. remote maps a backend index to the
+// base URL of an already running out-of-process backend; every other
+// backend runs in process.
+func e19StartCluster(caps []int, ecfg engine.Config, n int, remote map[int]string) (*e19Cluster, error) {
 	tc := &e19Cluster{}
+	// Cluster-internal hops must not linger: the router already coalesces,
+	// so a backend waiting DefaultFlushInterval for more items just adds
+	// dead time to every two-phase wave.
 	serve := func(reg server.Registration) (string, error) {
-		// Cluster-internal hops must not linger: the router already
-		// coalesces, so a backend waiting DefaultFlushInterval for more
-		// items just adds dead time to every two-phase wave.
-		srv, err := server.New(server.Config{FlushInterval: e19Flush}, reg)
-		if err != nil {
-			return "", err
+		base, stop, err := serveLoopback(server.Config{FlushInterval: e19Flush}, reg, "")
+		if err == nil {
+			tc.closers = append(tc.closers, stop)
 		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return "", err
-		}
-		httpSrv := &http.Server{Handler: srv.Handler()}
-		go func() { _ = httpSrv.Serve(ln) }()
-		tc.closers = append(tc.closers, func() { _ = httpSrv.Close() })
-		return "http://" + ln.Addr().String(), nil
+		return base, err
 	}
 	fail := func(err error) (*e19Cluster, error) {
-		tc.close()
-		return nil, err
+		return nil, errors.Join(err, tc.close())
 	}
 
 	ring, err := cluster.NewRing(len(caps), n, 0)
@@ -338,20 +190,22 @@ func e19StartCluster(caps []int, ecfg engine.Config, n int) (*e19Cluster, error)
 	}
 	tc.ring = ring
 	for b := 0; b < n; b++ {
-		bcaps, err := ring.Caps(caps, b)
-		if err != nil {
-			return fail(err)
-		}
-		be, err := cluster.NewBackend(bcaps, cluster.BackendConfig{Engine: ecfg})
-		if err != nil {
-			return fail(err)
+		base, ok := remote[b]
+		var be *cluster.Backend
+		if !ok {
+			bcaps, err := ring.Caps(caps, b)
+			if err != nil {
+				return fail(err)
+			}
+			if be, err = cluster.NewBackend(bcaps, cluster.BackendConfig{Engine: ecfg}); err != nil {
+				return fail(err)
+			}
+			tc.closers = append(tc.closers, func() error { be.Close(); return nil })
+			if base, err = serve(server.ClusterBackend(be)); err != nil {
+				return fail(err)
+			}
 		}
 		tc.backends = append(tc.backends, be)
-		tc.closers = append(tc.closers, func() { be.Close() })
-		base, err := serve(server.ClusterBackend(be))
-		if err != nil {
-			return fail(err)
-		}
 		tc.clients = append(tc.clients, cluster.NewClient(base, e19Policy()))
 	}
 	router, err := cluster.NewRouter(caps, tc.clients,
@@ -360,7 +214,7 @@ func e19StartCluster(caps []int, ecfg engine.Config, n int) (*e19Cluster, error)
 		return fail(err)
 	}
 	tc.router = router
-	tc.closers = append(tc.closers, func() { _ = router.Close() })
+	tc.closers = append(tc.closers, router.Close)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := router.WaitReady(ctx); err != nil {
@@ -397,29 +251,16 @@ func e19Reconcile(ctx context.Context, router *cluster.Router, clients []*cluste
 
 // e19Identity runs the identity leg: the routed conns=1 stream over a
 // single-backend cluster against the golden direct stream.
-func e19Identity(ins *problem.Instance, ecfg engine.Config, golden []server.DecisionJSON, goldenDigest uint64) error {
-	tc, err := e19StartCluster(ins.Capacities, ecfg, 1)
+func e19Identity(ins *problem.Instance, ecfg engine.Config, golden []server.DecisionJSON, goldenDigest uint64) (err error) {
+	tc, err := e19StartCluster(ins.Capacities, ecfg, 1, nil)
 	if err != nil {
 		return err
 	}
-	defer tc.close()
-	ctx := context.Background()
-	client := server.NewAdmissionClient(tc.base, 1)
-	defer client.CloseIdle()
-	n := len(ins.Requests)
-	for lo := 0; lo < n; lo += e19Batch {
-		hi := lo + e19Batch
-		if hi > n {
-			hi = n
-		}
-		ds, err := client.Submit(ctx, ins.Requests[lo:hi])
-		if err != nil {
-			return fmt.Errorf("routed submit at %d: %w", lo, err)
-		}
-		if err := e17Match(ds, golden[lo:hi], lo); err != nil {
-			return fmt.Errorf("routed %w", err)
-		}
+	defer func() { err = errors.Join(err, tc.close()) }()
+	if err := admissionIdentical(tc.base, ins.Requests, golden); err != nil {
+		return fmt.Errorf("routed stream: %w", err)
 	}
+	ctx := context.Background()
 	if err := tc.router.Drain(ctx); err != nil {
 		return err
 	}
@@ -455,42 +296,22 @@ func e19ThroughputStream(m int, seed uint64, crossEvery int) []problem.Request {
 // load report. single selects a plain one-node acserve instead of the
 // cluster-of-3.
 func e19Throughput(ins *problem.Instance, ecfg engine.Config, reqs []problem.Request, single bool) (*server.LoadReport, error) {
-	var base string
-	var cleanup func()
+	lc := server.LoadConfig[problem.Request]{Items: reqs, Conns: e19ThruConns, Batch: e19Batch}
 	if single {
 		eng, err := engine.New(ins.Capacities, ecfg)
 		if err != nil {
 			return nil, err
 		}
-		srv, err := server.New(server.Config{}, server.Admission(eng))
-		if err != nil {
-			eng.Close()
-			return nil, err
-		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			eng.Close()
-			return nil, err
-		}
-		httpSrv := &http.Server{Handler: srv.Handler()}
-		go func() { _ = httpSrv.Serve(ln) }()
-		base = "http://" + ln.Addr().String()
-		cleanup = func() { _ = httpSrv.Close(); eng.Close() }
-	} else {
-		tc, err := e19StartCluster(ins.Capacities, ecfg, e19ClusterSize)
-		if err != nil {
-			return nil, err
-		}
-		base = tc.base
-		cleanup = tc.close
+		defer eng.Close()
+		return serveLoad(server.Admission(eng), lc, server.RunAdmissionLoad)
 	}
-	defer cleanup()
-	return server.RunAdmissionLoad(context.Background(), server.LoadConfig[problem.Request]{
-		BaseURL: base,
-		Items:   reqs,
-		Conns:   e19ThruConns,
-		Batch:   e19Batch,
-	})
+	tc, err := e19StartCluster(ins.Capacities, ecfg, e19ClusterSize, nil)
+	if err != nil {
+		return nil, err
+	}
+	lc.BaseURL = tc.base
+	report, err := server.RunAdmissionLoad(context.Background(), lc)
+	return report, errors.Join(err, tc.close())
 }
 
 // e19FaultResult carries the fault-injection leg's measurements into the
@@ -507,10 +328,6 @@ type e19FaultResult struct {
 // is a re-executed durable child.
 func e19Fault(ins *problem.Instance, ecfg engine.Config, seed uint64, m int) (res e19FaultResult, err error) {
 	n := len(ins.Requests)
-	snapEvery := int64(n / 4)
-	if snapEvery < 16 {
-		snapEvery = 16
-	}
 	dir, err := os.MkdirTemp("", "e19-wal-")
 	if err != nil {
 		return res, err
@@ -523,94 +340,43 @@ func e19Fault(ins *problem.Instance, ecfg engine.Config, seed uint64, m int) (re
 	if err != nil {
 		return res, err
 	}
-	childAddr := ln.Addr().String()
+	spec := childSpec{Exp: "E19", Dir: dir, Addr: ln.Addr().String(), Seed: seed, Edges: m, Index: 1,
+		SnapEvery: max(int64(n/4), 16)}
 	_ = ln.Close()
 
-	// In-process backends 0 and 2, durable child as backend 1.
-	ring, err := cluster.NewRing(m, e19ClusterSize, 0)
-	if err != nil {
-		return res, err
-	}
-	var closers []func()
-	defer func() {
-		for i := len(closers) - 1; i >= 0; i-- {
-			closers[i]()
-		}
-	}()
-	clients := make([]*cluster.Client, e19ClusterSize)
-	for b := 0; b < e19ClusterSize; b++ {
-		if b == 1 {
-			clients[b] = cluster.NewClient("http://"+childAddr, e19Policy())
-			continue
-		}
-		bcaps, cerr := ring.Caps(ins.Capacities, b)
-		if cerr != nil {
-			return res, cerr
-		}
-		be, berr := cluster.NewBackend(bcaps, cluster.BackendConfig{Engine: ecfg})
-		if berr != nil {
-			return res, berr
-		}
-		closers = append(closers, func() { be.Close() })
-		srv, serr := server.New(server.Config{FlushInterval: e19Flush}, server.ClusterBackend(be))
-		if serr != nil {
-			return res, serr
-		}
-		bln, lerr := net.Listen("tcp", "127.0.0.1:0")
-		if lerr != nil {
-			return res, lerr
-		}
-		httpSrv := &http.Server{Handler: srv.Handler()}
-		go func() { _ = httpSrv.Serve(bln) }()
-		closers = append(closers, func() { _ = httpSrv.Close() })
-		clients[b] = cluster.NewClient("http://"+bln.Addr().String(), e19Policy())
-	}
-
-	c1, err := spawnE19Child(dir, childAddr, seed, m, 1, snapEvery)
+	c1, err := spawnChild(spec)
 	if err != nil {
 		return res, err
 	}
 	childUp := c1
 	defer func() {
 		if childUp != nil {
-			_ = childUp.cmd.Process.Kill()
-			_ = childUp.cmd.Wait()
+			childUp.kill()
 		}
 	}()
 	if c1.recovered != 0 {
 		return res, fmt.Errorf("fresh child recovered %d operations from an empty directory", c1.recovered)
 	}
 
-	router, err := cluster.NewRouter(ins.Capacities, clients,
-		cluster.RouterConfig{Backend: cluster.BackendConfig{Engine: ecfg}, ResyncEvery: time.Hour})
+	// In-process backends 0 and 2, durable child as backend 1.
+	tc, err := e19StartCluster(ins.Capacities, ecfg, e19ClusterSize, map[int]string{1: c1.base})
 	if err != nil {
 		return res, err
 	}
-	closers = append(closers, func() { _ = router.Close() })
+	defer func() { err = errors.Join(err, tc.close()) }()
+	ring, router, clients := tc.ring, tc.router, tc.clients
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
-	if err := router.WaitReady(ctx); err != nil {
-		return res, err
-	}
 
 	// Phase 1: healthy cluster, roughly half the stream.
-	batch := e19Batch
-	if batch > n/4 {
-		batch = n / 4
-	}
-	if batch < 1 {
-		batch = 1
-	}
+	batch := max(min(e19Batch, n/4), 1)
 	killAt := n / 2
 	submit := func(lo, hi int) ([]engine.Decision, error) {
 		return router.SubmitBatch(ctx, ins.Requests[lo:hi])
 	}
 	pos := 0
 	for pos < killAt {
-		hi := pos + batch
-		if hi > killAt {
-			hi = killAt
-		}
+		hi := min(pos+batch, killAt)
 		ds, serr := submit(pos, hi)
 		if serr != nil {
 			return res, fmt.Errorf("pre-kill submit at %d: %w", pos, serr)
@@ -627,20 +393,14 @@ func e19Fault(ins *problem.Instance, ecfg engine.Config, seed uint64, m int) (re
 	// SIGKILL between batches: every in-flight exchange has completed, so
 	// the router's view and the WAL agree exactly (the indeterminate
 	// mid-exchange window is pinned separately by the package tests).
-	if err := c1.cmd.Process.Kill(); err != nil {
-		return res, err
-	}
-	_ = c1.cmd.Wait()
+	c1.kill()
 	childUp = nil
 
 	// Phase 2: drive the rest of the stream into the degraded cluster.
 	// Requests touching partition 1 must come back as typed
 	// ErrPartitionDown refusals; the rest must keep deciding.
 	for pos < n {
-		hi := pos + batch
-		if hi > n {
-			hi = n
-		}
+		hi := min(pos+batch, n)
 		ds, serr := submit(pos, hi)
 		if serr != nil {
 			return res, fmt.Errorf("degraded submit at %d: %w", pos, serr)
@@ -689,7 +449,7 @@ func e19Fault(ins *problem.Instance, ecfg engine.Config, seed uint64, m int) (re
 	// Phase 3: restart from the same WAL directory and re-admit. The kill
 	// fell between batches, so the replayed count must equal the router's
 	// acknowledged count exactly.
-	c2, err := spawnE19Child(dir, childAddr, seed, m, 1, snapEvery)
+	c2, err := spawnChild(spec)
 	if err != nil {
 		return res, err
 	}
@@ -726,14 +486,10 @@ func e19Fault(ins *problem.Instance, ecfg engine.Config, seed uint64, m int) (re
 	// Shut the child down cleanly (SIGTERM snapshots on the way out) and
 	// fsck its WAL: an offline read-only replay into a fresh backend must
 	// land on the digest the live backend reported.
-	if err := c2.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+	childUp = nil
+	if err := c2.term(); err != nil {
 		return res, err
 	}
-	if err := c2.cmd.Wait(); err != nil {
-		childUp = nil
-		return res, fmt.Errorf("child shutdown after SIGTERM: %w", err)
-	}
-	childUp = nil
 	bcaps, err := ring.Caps(ins.Capacities, 1)
 	if err != nil {
 		return res, err
@@ -776,19 +532,10 @@ func runE19(cfg Config) ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	golden := make([]server.DecisionJSON, 0, n)
-	for _, req := range ins.Requests {
-		d, err := eng.Submit(context.Background(), req)
-		if err != nil {
-			eng.Close()
-			return nil, fmt.Errorf("E19: golden run: %w", err)
-		}
-		golden = append(golden, server.DecisionJSON{
-			ID: d.ID, Accepted: d.Accepted, CrossShard: d.CrossShard, Preempted: d.Preempted,
-		})
+	golden, goldenDigest, err := runDirect(eng, ins.Requests)
+	if err != nil {
+		return nil, fmt.Errorf("E19: golden run: %w", err)
 	}
-	goldenDigest := eng.StateDigest()
-	eng.Close()
 
 	if err := e19Identity(ins, ecfg, golden, goldenDigest); err != nil {
 		return nil, fmt.Errorf("E19 identity leg: %w", err)

@@ -1,10 +1,7 @@
 package harness
 
 import (
-	"context"
 	"fmt"
-	"net"
-	"net/http"
 	"sync"
 	"time"
 
@@ -123,8 +120,10 @@ func runE15(cfg Config) ([]*Table, error) {
 			if err != nil {
 				return err
 			}
-			report, err := serveCoverLoopback(cov, arrivals, sc.conns)
+			report, err := serveLoad(server.Cover(cov),
+				server.LoadConfig[int]{Items: arrivals, Conns: sc.conns}, server.RunCoverLoad)
 			if err != nil {
+				cov.Close()
 				return fmt.Errorf("E15: %s rep %d: %w", sc.name, rep, err)
 			}
 			// Reconciliation gate: every arrival decided, no refusals
@@ -211,131 +210,39 @@ func e15Identical(ins *setcover.Instance, arrivals []int, seed uint64) (cost, th
 	if err != nil {
 		return 0, 0, err
 	}
-	want := make([][]int, len(arrivals))
+	want := make([]server.CoverDecisionJSON, len(arrivals))
 	for t, j := range arrivals {
 		added, err := ref.Arrive(j)
 		if err != nil {
 			return 0, 0, err
 		}
-		want[t] = added
+		want[t] = server.CoverDecisionJSON{Element: j, NewSets: added}
 	}
 
-	for _, codec := range []struct {
-		name string
-		wire bool
-	}{{"json", false}, {"wire", true}} {
-		got, served, elapsed, err := coverStreamConns1(ins, arrivals, seed, codec.wire)
+	for _, wire := range []bool{false, true} {
+		codec, newClient := "json", server.NewCoverClient
+		if wire {
+			codec, newClient = "wire", server.NewCoverWireClient
+		}
+		cov, err := coverengine.New(ins, coverengine.Config{Shards: 1, Seed: seed})
 		if err != nil {
-			return 0, 0, fmt.Errorf("%s codec: %w", codec.name, err)
+			return 0, 0, err
 		}
-		if len(got) != len(arrivals) {
-			return 0, 0, fmt.Errorf("%s codec: served %d decisions for %d arrivals", codec.name, len(got), len(arrivals))
+		got, elapsed, err := servedConns1(server.Cover(cov), newClient, arrivals)
+		cov.Close()
+		if err == nil {
+			err = sameStream(got, want, sameCover)
 		}
-		for t := range got {
-			if got[t].Error != "" {
-				return 0, 0, fmt.Errorf("%s codec: arrival %d refused: %s", codec.name, t, got[t].Error)
-			}
-			if fmt.Sprint(got[t].NewSets) != fmt.Sprint(want[t]) {
-				return 0, 0, fmt.Errorf("%s codec: arrival %d (element %d): served bought %v, sequential %v",
-					codec.name, t, arrivals[t], got[t].NewSets, want[t])
-			}
+		if err != nil {
+			return 0, 0, fmt.Errorf("%s codec: %w", codec, err)
 		}
-		if served != ref.Cost() {
-			return 0, 0, fmt.Errorf("%s codec: served cost %v, sequential %v", codec.name, served, ref.Cost())
+		if served := cov.Cost(); served != ref.Cost() {
+			return 0, 0, fmt.Errorf("%s codec: served cost %v, sequential %v", codec, served, ref.Cost())
 		}
-		if !codec.wire {
-			cost = served
+		if !wire {
+			cost = cov.Cost()
 			thru = float64(len(arrivals)) / elapsed.Seconds()
 		}
 	}
 	return cost, thru, nil
-}
-
-// coverStreamConns1 serves the arrivals in 64-item batches over one
-// loopback connection against a fresh one-shard cover engine, using the
-// JSON or binary client, and returns the full decision stream, the
-// engine's final cost, and the submit-loop duration.
-func coverStreamConns1(ins *setcover.Instance, arrivals []int, seed uint64, wireCodec bool) ([]server.CoverDecisionJSON, float64, time.Duration, error) {
-	cov, err := coverengine.New(ins, coverengine.Config{Shards: 1, Seed: seed})
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	defer cov.Close()
-	srv, err := server.New(server.Config{}, server.Cover(cov))
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
-	go func() { _ = httpSrv.Serve(ln) }()
-	defer func() { _ = httpSrv.Close() }()
-
-	var client *server.Client[int, server.CoverDecisionJSON]
-	if wireCodec {
-		client = server.NewCoverWireClient("http://"+ln.Addr().String(), 1)
-	} else {
-		client = server.NewCoverClient("http://"+ln.Addr().String(), 1)
-	}
-	defer client.CloseIdle()
-	const batch = 64
-	got := make([]server.CoverDecisionJSON, 0, len(arrivals))
-	start := time.Now()
-	for lo := 0; lo < len(arrivals); lo += batch {
-		hi := lo + batch
-		if hi > len(arrivals) {
-			hi = len(arrivals)
-		}
-		ds, err := client.Submit(context.Background(), arrivals[lo:hi])
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		got = append(got, ds...)
-	}
-	elapsed := time.Since(start)
-	if err := drainServer(srv); err != nil {
-		return nil, 0, 0, err
-	}
-	return got, cov.Cost(), elapsed, nil
-}
-
-// serveCoverLoopback stands a cover-serving server up on a loopback
-// listener, drives it with the arrival sequence via the cover load
-// generator, and drains. The cover engine stays open for the caller's
-// final accounting reads.
-func serveCoverLoopback(cov *coverengine.Engine, arrivals []int, conns int) (*server.LoadReport, error) {
-	srv, err := server.New(server.Config{}, server.Cover(cov))
-	if err != nil {
-		return nil, err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
-	go func() { _ = httpSrv.Serve(ln) }()
-	defer func() { _ = httpSrv.Close() }()
-
-	report, err := server.RunCoverLoad(context.Background(), server.LoadConfig[int]{
-		BaseURL: "http://" + ln.Addr().String(),
-		Items:   arrivals,
-		Conns:   conns,
-		Batch:   64,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := drainServer(srv); err != nil {
-		return nil, err
-	}
-	return report, nil
-}
-
-// drainServer drains a server with a generous timeout.
-func drainServer(srv *server.Server) error {
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	return srv.Drain(ctx)
 }

@@ -3,8 +3,6 @@ package harness
 import (
 	"context"
 	"fmt"
-	"net"
-	"net/http"
 	"runtime"
 	"sync"
 	"time"
@@ -73,18 +71,14 @@ func runE18(cfg Config) ([]*Table, error) {
 		if err != nil {
 			return err
 		}
-		direct := make([]server.QueryDecisionJSON, 0, len(ins.Requests))
-		for _, req := range ins.Requests {
-			d, err := seng.Submit(context.Background(), req)
-			if err != nil {
-				seng.Close()
-				return fmt.Errorf("E18: streaming reference rep %d: %w", rep, err)
-			}
-			direct = append(direct, server.QueryDecisionJSON{
-				Pos: d.ID, Accepted: d.Accepted, Preempted: d.Preempted,
-			})
+		stream, _, err := runDirect(seng, ins.Requests)
+		if err != nil {
+			return fmt.Errorf("E18: streaming reference rep %d: %w", rep, err)
 		}
-		seng.Close()
+		direct := make([]server.QueryDecisionJSON, len(stream))
+		for t, d := range stream {
+			direct[t] = server.QueryDecisionJSON{Pos: d.ID, Accepted: d.Accepted, Preempted: d.Preempted}
+		}
 
 		qs := make([]lca.Query, len(ins.Requests))
 		for i := range qs {
@@ -96,39 +90,29 @@ func runE18(cfg Config) ([]*Table, error) {
 		if err != nil {
 			return err
 		}
+		local := make([]server.QueryDecisionJSON, len(answers))
 		for t, a := range answers {
+			local[t] = server.QueryDecisionJSON{Pos: a.Pos, Accepted: a.Accepted, Preempted: a.Preempted}
 			if a.Err != nil {
-				return fmt.Errorf("E18: local rep %d: query %d failed: %v", rep, t, a.Err)
+				local[t].Error = a.Err.Error()
 			}
-			if a.Pos != direct[t].Pos || a.Accepted != direct[t].Accepted ||
-				fmt.Sprint(a.Preempted) != fmt.Sprint(direct[t].Preempted) {
-				return fmt.Errorf("E18: local rep %d: position %d diverges: query %+v, streaming %+v",
-					rep, t, a, direct[t])
-			}
+		}
+		if err := sameStream(local, direct, sameQuery); err != nil {
+			return fmt.Errorf("E18: local rep %d: %w", rep, err)
 		}
 
 		// Identity gate 2: the served conns=1 streams over both codecs.
-		for _, wireCodec := range []bool{false, true} {
-			codec := "json"
-			if wireCodec {
-				codec = "wire"
+		for _, wire := range []bool{false, true} {
+			codec, newClient := "json", server.NewQueryClient
+			if wire {
+				codec, newClient = "wire", server.NewQueryWireClient
 			}
-			got, err := queryStreamConns1(qeng, qs, wireCodec)
+			got, _, err := servedConns1(server.Query(qeng), newClient, qs)
+			if err == nil {
+				err = sameStream(got, direct, sameQuery)
+			}
 			if err != nil {
 				return fmt.Errorf("E18: %s conns=1 rep %d: %w", codec, rep, err)
-			}
-			if len(got) != len(direct) {
-				return fmt.Errorf("E18: %s conns=1 rep %d: %d decisions for %d queries", codec, rep, len(got), len(direct))
-			}
-			for t := range got {
-				if got[t].Error != "" {
-					return fmt.Errorf("E18: %s conns=1 rep %d: query %d refused: %s", codec, rep, t, got[t].Error)
-				}
-				if got[t].Pos != direct[t].Pos || got[t].Accepted != direct[t].Accepted ||
-					fmt.Sprint(got[t].Preempted) != fmt.Sprint(direct[t].Preempted) {
-					return fmt.Errorf("E18: %s conns=1 rep %d: decision %d diverges: served %+v, streaming %+v",
-						codec, rep, t, got[t], direct[t])
-				}
 			}
 		}
 
@@ -194,49 +178,4 @@ func runE18(cfg Config) ([]*Table, error) {
 	t.AddNote("acceptance: workers=8 ≥ 2x workers=1 on the same query set — observed %.2fx on a GOMAXPROCS=%d host: %s", speedup8, runtime.GOMAXPROCS(0), verdict)
 	t.AddNote("queries are independent prefix replays (no shared ledger), so the sweep measures the tier's horizontal-scaling claim directly")
 	return []*Table{t}, nil
-}
-
-// queryStreamConns1 serves the query sequence over a one-connection
-// loopback in 64-item batches using the JSON or binary client and returns
-// the full decision-line stream. The engine stays open (it is stateless
-// across queries, so reuse across scenarios is sound).
-func queryStreamConns1(qeng *lca.Engine, qs []lca.Query, wireCodec bool) ([]server.QueryDecisionJSON, error) {
-	srv, err := server.New(server.Config{}, server.Query(qeng))
-	if err != nil {
-		return nil, err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
-	go func() { _ = httpSrv.Serve(ln) }()
-	defer func() { _ = httpSrv.Close() }()
-
-	base := "http://" + ln.Addr().String()
-	var client *server.Client[lca.Query, server.QueryDecisionJSON]
-	if wireCodec {
-		client = server.NewQueryWireClient(base, 1)
-	} else {
-		client = server.NewQueryClient(base, 1)
-	}
-	defer client.CloseIdle()
-
-	const batch = 64
-	got := make([]server.QueryDecisionJSON, 0, len(qs))
-	for lo := 0; lo < len(qs); lo += batch {
-		hi := lo + batch
-		if hi > len(qs) {
-			hi = len(qs)
-		}
-		ds, err := client.Submit(context.Background(), qs[lo:hi])
-		if err != nil {
-			return nil, err
-		}
-		got = append(got, ds...)
-	}
-	if err := drainServer(srv); err != nil {
-		return nil, err
-	}
-	return got, nil
 }

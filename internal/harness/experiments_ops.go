@@ -2,13 +2,12 @@ package harness
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
-	"net"
 	"net/http"
 	"strings"
 	"sync"
-	"time"
 
 	"admission/internal/core"
 	"admission/internal/engine"
@@ -114,8 +113,10 @@ func runE20(cfg Config) ([]*Table, error) {
 }
 
 // e20Server stands up an admin-enabled in-process server over a flat
-// m×capacity vector and returns its base URL plus a shutdown func.
-func e20Server(seed uint64, m, capacity, shards int) (*engine.Engine, string, func(), error) {
+// m×capacity vector and returns its engine, base URL and stop, which
+// drains the server, closes it and the engine, and returns the drain
+// error.
+func e20Server(seed uint64, m, capacity, shards int) (*engine.Engine, string, func() error, error) {
 	caps := make([]int, m)
 	for i := range caps {
 		caps[i] = capacity
@@ -126,37 +127,26 @@ func e20Server(seed uint64, m, capacity, shards int) (*engine.Engine, string, fu
 	if err != nil {
 		return nil, "", nil, err
 	}
-	srv, err := server.New(server.Config{AdminToken: e20Token}, server.Admission(eng))
+	base, stop, err := serveLoopback(server.Config{AdminToken: e20Token}, server.Admission(eng), "")
 	if err != nil {
 		eng.Close()
 		return nil, "", nil, err
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
+	return eng, base, func() error {
+		err := stop()
 		eng.Close()
-		return nil, "", nil, err
-	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
-	go func() { _ = httpSrv.Serve(ln) }()
-	shutdown := func() {
-		_ = httpSrv.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		_ = srv.Drain(ctx)
-		eng.Close()
-	}
-	return eng, "http://" + ln.Addr().String(), shutdown, nil
+		return err
+	}, nil
 }
 
 // e20Churn runs one flash-crowd repetition with a per-tick scrape and
 // checks validity, reconciliation and visibility.
-func e20Churn(seed uint64, m, capacity, shards int) (e20Run, error) {
-	var run e20Run
-	_, base, shutdown, err := e20Server(seed, m, capacity, shards)
+func e20Churn(seed uint64, m, capacity, shards int) (run e20Run, err error) {
+	_, base, stop, err := e20Server(seed, m, capacity, shards)
 	if err != nil {
 		return run, err
 	}
-	defer shutdown()
+	defer func() { err = errors.Join(err, stop()) }()
 
 	admin := ops.NewAdminClient(base, e20Token)
 	scraper := ops.NewScraper(admin, 256)
@@ -235,12 +225,12 @@ func e20Churn(seed uint64, m, capacity, shards int) (e20Run, error) {
 
 // e20Auth checks the authority property: unauthenticated (and
 // wrong-token) admin requests answer 401 and mutate nothing.
-func e20Auth(m, capacity, shards int) error {
-	eng, base, shutdown, err := e20Server(1, m, capacity, shards)
+func e20Auth(m, capacity, shards int) (err error) {
+	eng, base, stop, err := e20Server(1, m, capacity, shards)
 	if err != nil {
 		return err
 	}
-	defer shutdown()
+	defer func() { err = errors.Join(err, stop()) }()
 
 	hc := &http.Client{}
 	routes := []struct{ method, path, body string }{

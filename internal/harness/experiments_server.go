@@ -1,10 +1,7 @@
 package harness
 
 import (
-	"context"
 	"fmt"
-	"net"
-	"net/http"
 	"sync"
 	"time"
 
@@ -25,9 +22,10 @@ import (
 // the sharded engine, and through acserve's HTTP batching pipeline over
 // loopback with 1 and 4 client connections — and the measured competitive
 // ratios are compared. With one connection the pipeline is FIFO end to
-// end, so the decision stream (and hence the ratio) must match the direct
-// engine exactly; with concurrent connections arrival order varies and the
-// ratio may drift. Acceptance (see EXPERIMENTS.md §E14): every loopback
+// end, so the ratio matches the direct engine's (E14 compares counts, not
+// streams: E16's json conns=1 row gates line identity on this same path);
+// with concurrent connections arrival order varies and the ratio may
+// drift. Acceptance (see EXPERIMENTS.md §E14): every loopback
 // ratio within 2x of direct, and the server's decision accounting must
 // reconcile exactly with the engine's (accepted and decided counts).
 
@@ -91,24 +89,23 @@ func runE14(cfg Config) ([]*Table, error) {
 		var thru, p99ms float64
 		if sc.conns == 0 {
 			start := time.Now()
-			for _, req := range ins.Requests {
-				if _, err := eng.Submit(context.Background(), req); err != nil {
-					eng.Close()
-					return fmt.Errorf("E14: %s rep %d: %w", sc.name, rep, err)
-				}
+			if _, _, err := runDirect(eng, ins.Requests); err != nil {
+				return fmt.Errorf("E14: %s rep %d: %w", sc.name, rep, err)
 			}
 			elapsed := time.Since(start)
-			eng.Close()
 			st := eng.Snapshot()
 			rejected = st.RejectedCost
 			thru = float64(st.Requests) / elapsed.Seconds()
 		} else {
-			report, st, err := serveLoopback(eng, ins.Requests, sc.conns)
+			report, err := serveLoad(server.Admission(eng),
+				server.LoadConfig[problem.Request]{Items: ins.Requests, Conns: sc.conns}, server.RunAdmissionLoad)
+			eng.Close()
 			if err != nil {
 				return fmt.Errorf("E14: %s rep %d: %w", sc.name, rep, err)
 			}
 			// Reconciliation gate: the decision stream the client saw must
 			// match the engine's accounting exactly.
+			st := eng.Snapshot()
 			if report.Decided != st.Requests || report.Accepted != st.Accepted {
 				return fmt.Errorf("E14: %s rep %d: client saw %d decided/%d accepted, engine %d/%d",
 					sc.name, rep, report.Decided, report.Accepted, st.Requests, st.Accepted)
@@ -177,48 +174,7 @@ func runE14(cfg Config) ([]*Table, error) {
 		verdict = "FAIL"
 	}
 	t.AddNote("direct = sequential Submit against the same 4-shard engine; loopback = acserve HTTP batching pipeline on 127.0.0.1")
-	t.AddNote("conns=1 is FIFO end to end and decision-identical to direct (same seed); conns=4 reorders arrivals")
+	t.AddNote("conns=1 is FIFO end to end (E16's json conns=1 row gates its line identity with direct on this path); conns=4 reorders arrivals")
 	t.AddNote("acceptance: loopback ratio within 2x of direct — worst observed %.2fx: %s; client/engine decision accounting reconciled exactly", worst, verdict)
 	return []*Table{t}, nil
-}
-
-// serveLoopback stands a server up on a loopback listener, drives it with
-// the request sequence via the load generator, drains, and returns the
-// load report plus the engine's final stats. The engine is closed on
-// return.
-func serveLoopback(eng *engine.Engine, reqs []problem.Request, conns int) (*server.LoadReport, engine.Stats, error) {
-	srv, err := server.New(server.Config{}, server.Admission(eng))
-	if err != nil {
-		eng.Close()
-		return nil, engine.Stats{}, err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		eng.Close()
-		return nil, engine.Stats{}, err
-	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
-	go func() { _ = httpSrv.Serve(ln) }()
-	defer func() {
-		_ = httpSrv.Close()
-		eng.Close()
-	}()
-
-	base := "http://" + ln.Addr().String()
-	report, err := server.RunAdmissionLoad(context.Background(), server.LoadConfig[problem.Request]{
-		BaseURL: base,
-		Items:   reqs,
-		Conns:   conns,
-		Batch:   64,
-	})
-	if err != nil {
-		return nil, engine.Stats{}, err
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := srv.Drain(ctx); err != nil {
-		return nil, engine.Stats{}, err
-	}
-	eng.Close()
-	return report, eng.Snapshot(), nil
 }

@@ -1,10 +1,7 @@
 package harness
 
 import (
-	"context"
 	"fmt"
-	"net"
-	"net/http"
 	"sync"
 	"time"
 
@@ -64,8 +61,8 @@ func runE16(cfg Config) ([]*Table, error) {
 	}
 	points := make([]e16Point, len(scenarios)*cfg.reps())
 	var mu sync.Mutex
-	// One work item per repetition (not per scenario): the identity check
-	// needs all of a repetition's decision streams side by side.
+	// One work item per repetition (not per scenario): the identity checks
+	// hold every served stream to the repetition's direct run.
 	err := parallelEach(cfg.reps(), cfg.workers(), func(rep int) error {
 		wr := rng.New(cfg.Seed ^ (uint64(rep+1) * 0xE16E16))
 		_, ins, err := genOverloadedGraph(m, c, workload.CostUnit, wr)
@@ -91,20 +88,12 @@ func runE16(cfg Config) ([]*Table, error) {
 		if err != nil {
 			return err
 		}
-		direct := make([]server.DecisionJSON, 0, len(ins.Requests))
 		start := time.Now()
-		for _, req := range ins.Requests {
-			d, err := eng.Submit(context.Background(), req)
-			if err != nil {
-				eng.Close()
-				return fmt.Errorf("E16: direct rep %d: %w", rep, err)
-			}
-			direct = append(direct, server.DecisionJSON{
-				ID: d.ID, Accepted: d.Accepted, CrossShard: d.CrossShard, Preempted: d.Preempted,
-			})
+		direct, _, err := runDirect(eng, ins.Requests)
+		if err != nil {
+			return fmt.Errorf("E16: direct rep %d: %w", rep, err)
 		}
 		directElapsed := time.Since(start)
-		eng.Close()
 		directStats := eng.Snapshot()
 
 		rec := func(si int, p e16Point) {
@@ -117,7 +106,6 @@ func runE16(cfg Config) ([]*Table, error) {
 
 		// Served scenarios: fresh identically seeded engine each, so every
 		// path decides the same workload from the same initial state.
-		var conns1 [2][]server.DecisionJSON // json, wire
 		for si := 1; si < len(scenarios); si++ {
 			sc := scenarios[si]
 			eng, err := engineFor()
@@ -125,45 +113,38 @@ func runE16(cfg Config) ([]*Table, error) {
 				return err
 			}
 			if sc.conns == 1 {
-				got, thru, st, err := admissionStreamConns1(eng, ins.Requests, sc.wire)
+				newClient := server.NewAdmissionClient
+				if sc.wire {
+					newClient = server.NewAdmissionWireClient
+				}
+				got, elapsed, err := servedConns1(server.Admission(eng), newClient, ins.Requests)
+				eng.Close()
+				if err == nil {
+					// Identity gate: line for line equal to the direct run —
+					// the codec must be decision-invisible.
+					err = sameStream(got, direct, sameAdmission)
+				}
 				if err != nil {
 					return fmt.Errorf("E16: %s rep %d: %w", sc.name, rep, err)
 				}
-				conns1[boolIdx(sc.wire)] = got
-				rec(si, e16Point{ok: true, ratio: st.RejectedCost / lb, thru: thru})
+				st := eng.Snapshot()
+				rec(si, e16Point{ok: true, ratio: st.RejectedCost / lb, thru: float64(len(got)) / elapsed.Seconds()})
 				continue
 			}
-			report, st, err := serveWireLoopback(eng, ins.Requests, sc.conns)
+			report, err := serveLoad(server.Admission(eng),
+				server.LoadConfig[problem.Request]{Items: ins.Requests, Conns: sc.conns, Wire: sc.wire}, server.RunAdmissionLoad)
+			eng.Close()
 			if err != nil {
 				return fmt.Errorf("E16: %s rep %d: %w", sc.name, rep, err)
 			}
 			// Reconciliation gate: the binary stream the clients saw must
 			// match the engine's accounting exactly.
+			st := eng.Snapshot()
 			if report.Decided != st.Requests || report.Accepted != st.Accepted {
 				return fmt.Errorf("E16: %s rep %d: client saw %d decided/%d accepted, engine %d/%d",
 					sc.name, rep, report.Decided, report.Accepted, st.Requests, st.Accepted)
 			}
 			rec(si, e16Point{ok: true, ratio: st.RejectedCost / lb, thru: report.Throughput})
-		}
-
-		// Identity gate: both one-connection streams line-for-line equal to
-		// the direct run — the binary codec must be decision-invisible.
-		for _, codec := range []string{"json", "wire"} {
-			got := conns1[boolIdx(codec == "wire")]
-			if len(got) != len(direct) {
-				return fmt.Errorf("E16: %s conns=1 rep %d: %d decisions for %d requests", codec, rep, len(got), len(direct))
-			}
-			for t := range got {
-				if got[t].Error != "" {
-					return fmt.Errorf("E16: %s conns=1 rep %d: request %d refused: %s", codec, rep, t, got[t].Error)
-				}
-				if got[t].ID != direct[t].ID || got[t].Accepted != direct[t].Accepted ||
-					got[t].CrossShard != direct[t].CrossShard ||
-					fmt.Sprint(got[t].Preempted) != fmt.Sprint(direct[t].Preempted) {
-					return fmt.Errorf("E16: %s conns=1 rep %d: decision %d diverges: served %+v, direct %+v",
-						codec, rep, t, got[t], direct[t])
-				}
-			}
 		}
 		return nil
 	})
@@ -214,109 +195,4 @@ func runE16(cfg Config) ([]*Table, error) {
 	t.AddNote("both conns=1 streams were compared line by line (id, accepted, cross-shard, preempted) and are identical to direct")
 	t.AddNote("acceptance: loopback ratio within 2x of direct — worst observed %.2fx: %s; wire conns=8 accounting reconciled exactly", worst, verdict)
 	return []*Table{t}, nil
-}
-
-// boolIdx maps a codec flag to its conns1 slot.
-func boolIdx(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// admissionStreamConns1 serves the request sequence over a one-connection
-// loopback in 64-item batches using the JSON or binary client, drains, and
-// returns the full decision stream, the client-side throughput, and the
-// engine's final stats. The engine is closed on return.
-func admissionStreamConns1(eng *engine.Engine, reqs []problem.Request, wireCodec bool) ([]server.DecisionJSON, float64, engine.Stats, error) {
-	fail := func(err error) ([]server.DecisionJSON, float64, engine.Stats, error) {
-		eng.Close()
-		return nil, 0, engine.Stats{}, err
-	}
-	srv, err := server.New(server.Config{}, server.Admission(eng))
-	if err != nil {
-		return fail(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return fail(err)
-	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
-	go func() { _ = httpSrv.Serve(ln) }()
-	defer func() {
-		_ = httpSrv.Close()
-		eng.Close()
-	}()
-
-	base := "http://" + ln.Addr().String()
-	var client *server.Client[problem.Request, server.DecisionJSON]
-	if wireCodec {
-		client = server.NewAdmissionWireClient(base, 1)
-	} else {
-		client = server.NewAdmissionClient(base, 1)
-	}
-	defer client.CloseIdle()
-
-	const batch = 64
-	got := make([]server.DecisionJSON, 0, len(reqs))
-	start := time.Now()
-	for lo := 0; lo < len(reqs); lo += batch {
-		hi := lo + batch
-		if hi > len(reqs) {
-			hi = len(reqs)
-		}
-		ds, err := client.Submit(context.Background(), reqs[lo:hi])
-		if err != nil {
-			return nil, 0, engine.Stats{}, err
-		}
-		got = append(got, ds...)
-	}
-	elapsed := time.Since(start)
-	if err := drainServer(srv); err != nil {
-		return nil, 0, engine.Stats{}, err
-	}
-	eng.Close()
-	return got, float64(len(got)) / elapsed.Seconds(), eng.Snapshot(), nil
-}
-
-// serveWireLoopback is serveLoopback over the binary wire protocol: it
-// stands a server up on a loopback listener, drives it with the request
-// sequence via the load generator's binary client, drains, and returns the
-// load report plus the engine's final stats. The engine is closed on
-// return.
-func serveWireLoopback(eng *engine.Engine, reqs []problem.Request, conns int) (*server.LoadReport, engine.Stats, error) {
-	srv, err := server.New(server.Config{}, server.Admission(eng))
-	if err != nil {
-		eng.Close()
-		return nil, engine.Stats{}, err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		eng.Close()
-		return nil, engine.Stats{}, err
-	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
-	go func() { _ = httpSrv.Serve(ln) }()
-	defer func() {
-		_ = httpSrv.Close()
-		eng.Close()
-	}()
-
-	report, err := server.RunAdmissionLoad(context.Background(), server.LoadConfig[problem.Request]{
-		BaseURL: "http://" + ln.Addr().String(),
-		Items:   reqs,
-		Conns:   conns,
-		Batch:   64,
-		Wire:    true,
-	})
-	if err != nil {
-		return nil, engine.Stats{}, err
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := srv.Drain(ctx); err != nil {
-		return nil, engine.Stats{}, err
-	}
-	eng.Close()
-	return report, eng.Snapshot(), nil
 }

@@ -1,4 +1,4 @@
-// Package harness defines and runs the reproduction experiments E1–E18 (see
+// Package harness defines and runs the reproduction experiments E1–E20 (see
 // DESIGN.md §4): for each theorem of the paper it measures empirical
 // competitive ratios against offline optima across parameter sweeps, fits
 // the predicted scaling law, and renders tables (ASCII for the terminal, CSV
@@ -8,10 +8,11 @@
 // engine it fronts, E15 validates the set cover serving path (DESIGN.md §9)
 // against the sequential §4 reduction, E16 validates the binary wire
 // protocol (DESIGN.md §11), E17 validates WAL crash recovery
-// (DESIGN.md §12) by SIGKILLing a re-executed durable server child —
-// binaries hosting the suite must install the RunE17Child hook — and E18
-// validates the local-computation query tier (DESIGN.md §13) against the
-// streaming engine it reconstructs.
+// (DESIGN.md §12), E18 validates the local-computation query tier
+// (DESIGN.md §13) against the streaming engine it reconstructs, E19 the
+// cluster tier (DESIGN.md §14) and E20 live operations (DESIGN.md §15).
+// E17 and E19 SIGKILL a re-executed durable server child: binaries hosting
+// the suite must call RunChild when ChildEnv is set.
 //
 // The paper has no empirical section, so these experiments *are* the
 // reproduction targets: each checks that the measured ratio of the §2/§3/§5

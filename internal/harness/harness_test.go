@@ -7,17 +7,12 @@ import (
 	"testing"
 )
 
-// TestMain installs the E17 and E19 child hooks: the crash-recovery and
-// cluster fault-injection experiments re-execute this test binary as
+// TestMain installs the child hook: the crash-recovery (E17) and cluster
+// fault-injection (E19) experiments re-execute this test binary as
 // durable server children and SIGKILL them.
 func TestMain(m *testing.M) {
-	if os.Getenv(E17ChildEnv) != "" {
-		RunE17Child()
-		return
-	}
-	if os.Getenv(E19ChildEnv) != "" {
-		RunE19Child()
-		return
+	if os.Getenv(ChildEnv) != "" {
+		RunChild()
 	}
 	os.Exit(m.Run())
 }

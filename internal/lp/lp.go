@@ -31,6 +31,7 @@ const (
 	EQ                 // a·x == b
 )
 
+// String renders the relation as its comparison operator.
 func (r Relation) String() string {
 	switch r {
 	case LE:
@@ -55,6 +56,7 @@ const (
 	IterLimit
 )
 
+// String names the solver outcome.
 func (s Status) String() string {
 	switch s {
 	case Optimal:

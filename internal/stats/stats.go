@@ -1,6 +1,6 @@
 // Package stats provides the small statistical toolkit used by the
 // experiment harness: summary statistics with confidence intervals,
-// quantiles, histograms, and least-squares fits.
+// quantiles, and least-squares fits.
 //
 // The scaling-law verdicts in EXPERIMENTS.md are produced by fitting the
 // measured competitive ratio of each algorithm against the control parameter
@@ -167,52 +167,6 @@ func Fit(xs, ys []float64) (FitResult, error) {
 // String formats the fit for experiment reports.
 func (f FitResult) String() string {
 	return fmt.Sprintf("y = %.4g*x + %.4g (R²=%.3f, n=%d)", f.Slope, f.Intercept, f.R2, f.N)
-}
-
-// Histogram is a fixed-bucket histogram over a closed interval.
-type Histogram struct {
-	Lo, Hi  float64
-	Buckets []int
-	Under   int // observations below Lo
-	Over    int // observations >= Hi
-}
-
-// NewHistogram creates a histogram with nbuckets equal-width buckets over
-// [lo, hi). It panics if nbuckets <= 0 or hi <= lo, which indicate
-// programmer error rather than data error.
-func NewHistogram(lo, hi float64, nbuckets int) *Histogram {
-	if nbuckets <= 0 {
-		panic("stats: NewHistogram requires nbuckets > 0")
-	}
-	if hi <= lo {
-		panic("stats: NewHistogram requires hi > lo")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Buckets: make([]int, nbuckets)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	switch {
-	case x < h.Lo:
-		h.Under++
-	case x >= h.Hi:
-		h.Over++
-	default:
-		idx := int(float64(len(h.Buckets)) * (x - h.Lo) / (h.Hi - h.Lo))
-		if idx == len(h.Buckets) { // guards float rounding at the boundary
-			idx--
-		}
-		h.Buckets[idx]++
-	}
-}
-
-// Total returns the number of observations recorded, including out-of-range.
-func (h *Histogram) Total() int {
-	t := h.Under + h.Over
-	for _, b := range h.Buckets {
-		t += b
-	}
-	return t
 }
 
 // Log2 is a convenience for the control parameters used throughout the

@@ -200,44 +200,6 @@ func TestFitNoisyRecovers(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1.9, 2, 9.99, 10, 11} {
-		h.Add(x)
-	}
-	if h.Under != 1 || h.Over != 2 {
-		t.Fatalf("under=%d over=%d", h.Under, h.Over)
-	}
-	if h.Buckets[0] != 2 { // 0 and 1.9
-		t.Fatalf("bucket0 = %d", h.Buckets[0])
-	}
-	if h.Buckets[1] != 1 { // 2
-		t.Fatalf("bucket1 = %d", h.Buckets[1])
-	}
-	if h.Buckets[4] != 1 { // 9.99
-		t.Fatalf("bucket4 = %d", h.Buckets[4])
-	}
-	if h.Total() != 7 {
-		t.Fatalf("total = %d", h.Total())
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	for name, f := range map[string]func(){
-		"zero buckets": func() { NewHistogram(0, 1, 0) },
-		"hi <= lo":     func() { NewHistogram(1, 1, 3) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: no panic", name)
-				}
-			}()
-			f()
-		}()
-	}
-}
-
 func TestGeoMean(t *testing.T) {
 	got, err := GeoMean([]float64{1, 4})
 	if err != nil {

@@ -34,6 +34,7 @@ const (
 	EventShrink  // capacity decrement (set-cover reduction phase 2)
 )
 
+// String names the event kind as audit reports print it.
 func (k EventKind) String() string {
 	switch k {
 	case EventArrival:

@@ -37,6 +37,7 @@ const (
 	CostPareto
 )
 
+// String names the cost model as the CLI flags spell it.
 func (c CostModel) String() string {
 	switch c {
 	case CostUnit:

@@ -1,10 +1,10 @@
 // Command doccheck is the CI documentation gate: it fails when an exported
 // top-level identifier (type, function, method, var or const) in the given
 // package directories lacks a doc comment, and when a package lacks a
-// package-level doc comment. CI runs it over the serving-layer packages;
-// run it locally with:
+// package-level doc comment. CI runs it over the root facade and every
+// internal package; run it locally with:
 //
-//	go run ./scripts/doccheck internal/server internal/metrics
+//	go run ./scripts/doccheck . $(go list -f '{{.Dir}}' ./internal/...)
 package main
 
 import (
